@@ -113,13 +113,6 @@ struct TrsmSpec {
   /// Cholesky pipeline's solves on its q x q subgrid.
   int grid_p1 = 0;
   int grid_p2 = 0;
-  /// Solve the normalized kernel in mixed precision on the host instead
-  /// of the distributed algorithm: f32 factor + solve with f64 iterative
-  /// refinement (la::trsm_refined). All BLAS variants reduce to it
-  /// through the same normalizations. The simulated machine is bypassed
-  /// (stats stay empty) — this is the single-node speed envelope, for
-  /// shapes where local flops beat distribution.
-  bool mixed_precision = false;
 };
 
 /// What to plan. (n, k) is the shape of the normalized lower-left kernel:
@@ -271,20 +264,19 @@ class DistTicket {
 
 struct ExecResult {
   la::Matrix x;
-  /// Full-run stats. Phase buckets: "algorithm" (the distributed
-  /// computation itself — compare THIS against the paper's formulas) and
-  /// "output-collect" (the gather that materializes the global result for
-  /// the caller); the iterative TRSM additionally reports "inversion" /
-  /// "solve" / "update", and the Cholesky pipeline "cholesky" /
-  /// "forward-trsm" / "backward-trsm".
+  /// Stats of the run. The operands are uploaded and the result
+  /// downloaded host-side, which charges nothing, so the run is the
+  /// distributed computation alone: the "algorithm" phase (compare THIS
+  /// against the paper's formulas), with the iterative TRSM's
+  /// "inversion" / "solve" / "update" and the Cholesky pipeline's
+  /// "cholesky" / "forward-trsm" / "backward-trsm" nested inside it.
   sim::RunStats stats;
   model::Config config;
   /// Relative residual of the solve (0 for the matmul ops, whose result
   /// the caller can check directly against a reference product).
   double residual = 0.0;
 
-  /// Max-over-ranks cost of the distributed computation only, excluding
-  /// the driver's output gather.
+  /// Max-over-ranks cost of the distributed computation.
   sim::Cost algorithm_cost() const;
 };
 
@@ -310,10 +302,10 @@ struct ProgramStats {
   bool optimized = false;
 };
 
-/// Result of a fused batch (Plan::execute_batch_fused): the entire panel
-/// stream ran as ONE Machine::run, so there is a single RunStats for the
-/// whole batch. Residuals are computed host-side per panel, exactly like
-/// the unfused path.
+/// Result of a batch (Plan::execute_batch): the entire panel stream ran
+/// as ONE Machine::run, so there is a single RunStats for the whole
+/// batch. Residuals are computed host-side per panel, exactly like
+/// Plan::execute's.
 struct BatchResult {
   std::vector<la::Matrix> xs;
   std::vector<double> residuals;
@@ -342,6 +334,11 @@ class Plan : public std::enable_shared_from_this<Plan> {
   ///   kCholesky:      a = SPD A (n x n), b ignored
   ///   kCholeskySolve: a = SPD A (n x n), b = B (n x k)
   ///   kMatmul3D/2D:   a = A (n x inner), b = X (inner x k)
+  /// Runs as upload -> execute_dist -> download. TRSM variants (right
+  /// side, upper operand, transposed solve) are first rewritten on the
+  /// host onto the lower-left kernel plan. The plan keeps the handle of
+  /// the last operand it uploaded for the iterative TRSM, so repeated
+  /// executes against the same bytes reuse the inverted diagonal blocks.
   ExecResult execute(const la::Matrix& a, const la::Matrix& b = {});
 
   /// Execute against RESIDENT operands: no scatter, no collect — the
@@ -370,23 +367,15 @@ class Plan : public std::enable_shared_from_this<Plan> {
   Layout input_layout(int slot) const;
   Layout output_layout() const;
 
-  /// Execute over many right-hand-side panels, amortizing planning and —
-  /// for the iterative TRSM — the diagonal-block inversion, which runs
-  /// exactly once per distinct operand matrix.
-  std::vector<ExecResult> execute_batch(const la::Matrix& a,
-                                        const std::vector<la::Matrix>& bs);
-
-  /// The same panel stream as ONE simulated run: every panel is uploaded
-  /// once (one describe-only realization per operand layout, shared across
-  /// the batch), all solves execute as a single Program inside a single
-  /// Machine::run with intermediates resident in the HandleStore, and —
-  /// for the iterative TRSM — the diagonal-block inversion runs once and
-  /// is reused by every panel IN that run (and across calls against the
-  /// same operand bytes, like execute_batch). Supports kTrsm in the
-  /// normalized lower-left variants (transpose requires the iterative
-  /// algorithm) and the matmul ops; other ops: use execute_batch.
-  BatchResult execute_batch_fused(const la::Matrix& a,
-                                  const std::vector<la::Matrix>& bs);
+  /// Execute over many right-hand-side panels as ONE simulated run: the
+  /// operand and every panel are uploaded once, all solves execute as a
+  /// single Program inside a single Machine::run, and — for the iterative
+  /// TRSM — the diagonal-block inversion runs once and is reused by every
+  /// panel IN that run (and across calls against the same operand bytes,
+  /// like execute). Supports kTrsm in every variant and the matmul ops;
+  /// other ops throw Error.
+  BatchResult execute_batch(const la::Matrix& a,
+                            const std::vector<la::Matrix>& bs);
 
   /// Element generator over GLOBAL indices (namespace-level api::Gen).
   using Gen = api::Gen;
@@ -403,43 +392,43 @@ class Plan : public std::enable_shared_from_this<Plan> {
 
   /// Number of times this plan has run the Diagonal-Inverter — observable
   /// evidence that repeated executes and batches reuse the inverted
-  /// diagonal blocks.
-  std::uint64_t diag_inversions() const { return diag_inversions_; }
+  /// diagonal blocks. A TRSM variant plan reports its kernel plan's count.
+  std::uint64_t diag_inversions() const;
 
  private:
   friend class Context;
   friend class Program;
   friend class DistTicket;
+  friend struct DistTicket::Shared;
   Plan(Context& ctx, OpDesc desc);
 
-  ExecResult run_trsm(const la::Matrix& t, const la::Matrix& b,
-                      const TrsmSpec& spec);
-  ExecResult run_trsm_kernel(const la::Matrix& l, const la::Matrix& b);
-  ExecResult run_tri_inv(const la::Matrix& l);
-  ExecResult run_cholesky(const la::Matrix& a);
-  ExecResult run_cholesky_solve(const Gen& a_gen, const Gen& b_gen);
-  ExecResult run_matmul(const la::Matrix& a, const la::Matrix& x);
+  /// True when runs of this plan reuse inverted diagonal blocks (the
+  /// non-transposed iterative TRSM).
+  bool caches_inverse() const;
+  /// The lower-left kernel plan a TRSM variant's matrix-in entries run on.
+  Plan& kernel_plan();
+  /// Upload `a` as operand 0, reusing the kept handle when the bytes match.
+  DistHandle upload_operand(const la::Matrix& a);
+  /// Launch `prog` — every step runs this plan against inputs[0] — with
+  /// the diagonal-inverse cache wired in.
+  DistTicket launch(Program& prog, const std::vector<DistHandle>& inputs);
 
   /// The Cholesky pipeline as a 3-op Program over resident operands:
   /// factor, forward solve, reversed backward solve — one Machine::run,
-  /// no intermediate collects. make_cholesky_program builds the DAG;
-  /// run_cholesky_program executes it (the async path launches it as a
-  /// stream instead).
+  /// no intermediate collects.
   Program make_cholesky_program();
-  std::pair<DistHandle, sim::RunStats> run_cholesky_program(
-      const DistHandle& a, const DistHandle& b);
 
   Context* ctx_;
   OpDesc desc_;
   model::Config config_;
 
   // Iterative-TRSM diagonal-inverse cache: each rank's local Ltilde block,
-  // valid for the kernel operand identified by the fingerprint.
-  // diag_mu_ serializes the async path's cache decisions: an in-flight
-  // reuse run reads diag_locals_ (diag_readers_ > 0), and a completed
-  // non-reuse run merges its privately computed blocks in at wait() —
-  // only when no reader is in flight, so the shared vector is never
-  // rewritten under a running fiber.
+  // valid for the operand handle identified by the fingerprint.
+  // diag_mu_ serializes the cache decisions: an in-flight reuse run reads
+  // diag_locals_ (diag_readers_ > 0), and a completed non-reuse run
+  // merges its privately computed blocks in when it settles — only when
+  // no reader is in flight, so the shared vector is never rewritten under
+  // a running fiber.
   mutable std::mutex diag_mu_;
   int diag_readers_ = 0;
   std::vector<la::Matrix> diag_locals_;
@@ -447,17 +436,12 @@ class Plan : public std::enable_shared_from_this<Plan> {
   bool diag_valid_ = false;
   std::uint64_t diag_inversions_ = 0;
 
-  // Describe-only input distributions for the iterative-TRSM matrix
-  // path, built once on the host and shared read-only by every rank of
-  // every run: execute_batch reuses one communicator set across panels
-  // instead of each rank rebuilding it per panel. Keyed by the
-  // normalized kernel shape (right-side / transposed variants swap it
-  // relative to the plan's (n, k)). The maps are pure arithmetic, so
-  // sharing them cannot perturb modeled costs.
-  std::shared_ptr<const dist::Distribution> host_a_dist_;
-  std::shared_ptr<const dist::Distribution> host_b_dist_;
-  index_t host_dist_rows_ = -1;
-  index_t host_dist_cols_ = -1;
+  // TRSM variants: the lower-left kernel plan (set on first matrix-in use).
+  std::shared_ptr<Plan> kernel_;
+  // The last host operand uploaded (caches_inverse() plans only) and the
+  // matrix it came from.
+  DistHandle host_a_;
+  std::shared_ptr<const la::Matrix> host_src_;
 };
 
 class Context {
@@ -545,7 +529,7 @@ class Context {
 
   /// Upload/download against a caller-realized distribution, so a batch
   /// realizes each layout's describe-only communicator set ONCE instead of
-  /// once per panel (Plan::execute_batch_fused). `d` must be
+  /// once per panel (Plan::execute_batch). `d` must be
   /// detail::realize_host(layout, rows, cols, nprocs()) for the same
   /// shape/layout the call passes.
   DistHandle upload_on(const la::Matrix& m, Layout layout,

@@ -85,7 +85,7 @@ std::string cache_key(const OpDesc& d, int p, const sim::MachineParams& mp) {
      << d.trsm.force_algorithm << '|'
      << static_cast<int>(d.trsm.algorithm) << '|' << d.trsm.nblocks << '|'
      << d.trsm.rec_n0 << '|' << d.trsm.grid_p1 << '|' << d.trsm.grid_p2
-     << '|' << d.trsm.mixed_precision << '|' << p << '|' << std::hexfloat
+     << '|' << p << '|' << std::hexfloat
      << mp.alpha << '|' << mp.beta << '|' << mp.gamma;
   return os.str();
 }

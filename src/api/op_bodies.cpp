@@ -93,47 +93,6 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p) {
   }
 }
 
-TrsmDists trsm_dists(const sim::Comm& grid, const model::Config& cfg,
-                     index_t n, index_t k) {
-  switch (cfg.algorithm) {
-    case model::Algorithm::kIterative: {
-      Face2D lface = trsm::it_inv_l_face(grid, cfg.p1, cfg.p2);
-      auto ldist = dist::cyclic_on(lface, n, n);
-      auto bdist = trsm::it_inv_b_dist(grid, cfg.p1, cfg.p2, n, k);
-      return {std::move(ldist), std::move(bdist)};
-    }
-    case model::Algorithm::kRecursive: {
-      Face2D face(grid, cfg.pr, cfg.pc);
-      return {dist::cyclic_on(face, n, n), dist::cyclic_on(face, n, k)};
-    }
-    case model::Algorithm::kTrsm2D: {
-      const auto [pr, pc] = dist::balanced_factors(grid.size());
-      Face2D face(grid, pr, pc);
-      return {dist::cyclic_on(face, n, n), dist::cyclic_on(face, n, k)};
-    }
-    case model::Algorithm::kTrsv1D: {
-      Face2D face(grid, grid.size(), 1);
-      return {dist::cyclic_on(face, n, n), dist::cyclic_on(face, n, k)};
-    }
-  }
-  throw Error("trsm_dists: unknown algorithm");
-}
-
-namespace {
-
-sim::Comm describe_world(int p) {
-  std::vector<int> all(static_cast<std::size_t>(p));
-  std::iota(all.begin(), all.end(), 0);
-  return sim::Comm::describe(std::move(all));
-}
-
-}  // namespace
-
-TrsmDists trsm_dists_host(const model::Config& cfg, index_t n, index_t k,
-                          int p) {
-  return trsm_dists(describe_world(p), cfg, n, k);
-}
-
 DistMatrix trsm_solve(const OpDesc& desc, const model::Config& cfg,
                       const sim::Comm& grid, const DistMatrix& dl,
                       const DistMatrix& db, const TrsmBodyOptions& opts) {

@@ -1,25 +1,21 @@
 #pragma once
-// Internal: the per-op distributed bodies behind Plan::execute,
-// Plan::execute_dist, and Program — one implementation of each algorithm
-// invocation, consumed by three drivers:
-//
-//   - the legacy matrix path (scatter-fill, body, output collect — one
-//     Machine::run, cost signature byte-identical to the pre-handle
-//     driver),
-//   - the resident-handle path (load per-rank blocks from the machine's
-//     sim::HandleStore, body, store result blocks — no scatter, no
-//     collect),
-//   - Program (a chain of bodies in ONE run, redistributing between steps
-//     only on layout mismatch).
+// Internal: the per-op distributed bodies behind api::Program — one
+// implementation of each algorithm invocation. Every driver reaches them
+// through a Program run: Plan::execute_dist is a one-step Program, the
+// Cholesky pipeline a three-step one, and the matrix-in entries
+// (Plan::execute, execute_batch) upload into resident handles, run that
+// path, and download. A run loads per-rank blocks from the machine's
+// sim::HandleStore, runs the bodies, and stores result blocks — no
+// scatter, no collect, redistributing between steps only on layout
+// mismatch.
 //
 // Also here: realization of api::Layout descriptors into concrete
 // dist::Distribution objects — in-run (live communicators, so algorithms
 // can collective through the face) and host-side (describe-only
 // communicators, for upload/download arithmetic). Both construct the
-// exact same element->rank maps as the canonical helpers the legacy
-// driver uses (it_inv_l_face / it_inv_b_dist / cyclic_on), which is what
-// makes "handle layout == required layout" a zero-redistribution
-// guarantee.
+// exact same element->rank maps as the solvers' canonical helpers
+// (it_inv_l_face / it_inv_b_dist / cyclic_on), which is what makes
+// "handle layout == required layout" a zero-redistribution guarantee.
 
 #include <cstdint>
 #include <memory>
@@ -82,27 +78,8 @@ struct TrsmBodyOptions {
   bool reuse_ltilde = false;
 };
 
-/// The input distributions the planned TRSM algorithm consumes, built on
-/// `grid` in the same construction order as the pre-refactor driver.
-struct TrsmDists {
-  std::shared_ptr<const dist::Distribution> l;
-  std::shared_ptr<const dist::Distribution> b;
-};
-TrsmDists trsm_dists(const sim::Comm& grid, const model::Config& cfg,
-                     index_t n, index_t k);
-
-/// The same TrsmDists built outside any run from a describe-only world
-/// communicator of p ranks: the element->rank maps depend only on
-/// (config, shapes), so one set serves every rank of every panel of a
-/// batch instead of being rebuilt per rank per execute. Only valid for
-/// algorithms that communicate exclusively through the comm argument
-/// (iterative); the recursive/2D/1D bodies pull live fibers out of the
-/// operand's face and need in-run trsm_dists.
-TrsmDists trsm_dists_host(const model::Config& cfg, index_t n, index_t k,
-                          int p);
-
 /// Solve L X = B with the planned algorithm (the normalized lower-left
-/// non-transposed kernel; dl/db must be in trsm_dists form).
+/// non-transposed kernel; dl/db in the plan's input layouts).
 dist::DistMatrix trsm_solve(const OpDesc& desc, const model::Config& cfg,
                             const sim::Comm& grid, const dist::DistMatrix& dl,
                             const dist::DistMatrix& db,

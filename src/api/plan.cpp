@@ -1,12 +1,17 @@
+// api::Plan — every entry point drives the resident path. execute_dist
+// runs the op as a one-step api::Program over DistHandles; the matrix-in
+// entries (execute, execute_batch, execute_generated) upload their
+// operands, run that same Program path, download the result, and check
+// the residual on the host. TRSM variants (right side, upper operand,
+// transposed solve) are rewritten on the host onto the lower-left kernel
+// plan first, so one distributed kernel serves all of them.
+
 #include <cmath>
+#include <cstring>
 #include <mutex>
-#include <numeric>
-#include <optional>
 
 #include "api/op_bodies.hpp"
-#include "dist/redistribute.hpp"
 #include "la/gemm.hpp"
-#include "la/mixed.hpp"
 #include "la/norms.hpp"
 #include "mm/mm3d.hpp"
 #include "support/check.hpp"
@@ -14,8 +19,6 @@
 
 namespace catrsm::api {
 
-using dist::DistMatrix;
-using dist::Face2D;
 using la::Matrix;
 
 namespace {
@@ -45,27 +48,57 @@ Matrix effective_operand(const Matrix& t, const TrsmSpec& spec) {
   return spec.transpose ? t.transposed() : t;
 }
 
-/// The host-gather epilogue shared by every legacy (matrix-in) op: run
-/// `body` on all ranks; ranks that return a (matrix, communicator) pair
-/// join the "output-collect" gather, and rank 0's collected global result
-/// is returned alongside the run stats.
-std::pair<Matrix, sim::RunStats> run_and_collect(
-    sim::Machine& machine, index_t rows, index_t cols,
-    const std::function<std::optional<std::pair<DistMatrix, sim::Comm>>(
-        sim::Rank&)>& body) {
-  Matrix out(rows, cols);
-  std::mutex mu;  // rank 0 writes once; mutex documents the intent
-  sim::RunStats stats = machine.run([&](sim::Rank& r) {
-    auto produced = body(r);
-    if (!produced.has_value()) return;
-    sim::PhaseScope output_scope(r, "output-collect");
-    const Matrix full = dist::collect(produced->first, produced->second);
-    if (r.id() == 0) {
-      std::lock_guard<std::mutex> guard(mu);
-      out = full;
-    }
-  });
-  return {std::move(out), std::move(stats)};
+/// True for the TRSM variants the matrix-in entries rewrite onto the
+/// lower-left kernel plan.
+bool is_trsm_variant(const OpDesc& d) {
+  return d.op == Op::kTrsm &&
+         (d.trsm.side == Side::kRight || d.trsm.uplo == la::Uplo::kUpper ||
+          d.trsm.transpose);
+}
+
+/// How a TRSM variant maps onto the lower-left kernel L Y = C. A right
+/// solve X op(T) = B is the left solve op(T)^T X^T = B^T; an upper system
+/// M X = B becomes (J M J)(J X) = J B, and J M J is lower. The
+/// permutations introduce no rounding.
+struct KernelForm {
+  bool right;     // C = B^T and X = Y^T
+  bool operand_t; // the left-side operand M is T^T
+  bool reversed;  // M is upper: L = J M J, C and Y are row-reversed
+};
+
+KernelForm kernel_form(const TrsmSpec& s) {
+  KernelForm f;
+  f.right = s.side == Side::kRight;
+  f.operand_t = s.transpose != f.right;
+  f.reversed = (s.uplo == la::Uplo::kLower) == f.operand_t;
+  return f;
+}
+
+Matrix kernel_operand(const Matrix& t, const KernelForm& f) {
+  const Matrix m = f.operand_t ? t.transposed() : t;
+  return f.reversed ? reversed_both(m) : m;
+}
+
+Matrix kernel_rhs(const Matrix& b, const KernelForm& f) {
+  const Matrix c = f.right ? b.transposed() : b;
+  return f.reversed ? reversed_rows(c) : c;
+}
+
+Matrix from_kernel(const Matrix& y, const KernelForm& f) {
+  const Matrix x = f.reversed ? reversed_rows(y) : y;
+  return f.right ? x.transposed() : x;
+}
+
+/// Relative residual of the original (un-normalized) TRSM variant.
+double variant_residual(const Matrix& t, const Matrix& x, const Matrix& b,
+                        const TrsmSpec& spec) {
+  if (spec.side == Side::kLeft)
+    return la::trsm_residual(effective_operand(t, spec), x, b);
+  Matrix prod = la::matmul(x, effective_operand(t, spec));
+  prod.sub(b);
+  return la::frobenius_norm(prod) /
+         (la::frobenius_norm(t) * la::frobenius_norm(x) +
+          la::frobenius_norm(b) + 1e-300);
 }
 
 /// Relative residual of an SPD solve: ||A X - B|| / (||A|| ||X|| + ||B||).
@@ -77,39 +110,20 @@ double spd_residual(const Matrix& a, const Matrix& b, const Matrix& x) {
           la::frobenius_norm(b) + 1e-300);
 }
 
-/// The two diagonal-inverse cache key domains share one diag_fp_ field;
-/// the top bit tags which domain produced a key, so a byte-hash of some
-/// L can never collide with a handle identity.
-constexpr std::uint64_t kHandleFpTag = 1ull << 63;
-
-/// FNV-1a over shape and raw element bytes: identifies the operand a
-/// plan's diagonal-inverse cache belongs to (matrix-path executes).
-std::uint64_t fingerprint(const Matrix& m) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const void* p, std::size_t len) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  };
-  const index_t r = m.rows();
-  const index_t c = m.cols();
-  mix(&r, sizeof r);
-  mix(&c, sizeof c);
-  mix(m.ptr(), sizeof(double) * static_cast<std::size_t>(m.size()));
-  return h & ~kHandleFpTag;
+/// Bitwise equality (unlike Matrix::equals, tells -0.0 from 0.0).
+bool same_bytes(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.ptr(), y.ptr(),
+                     sizeof(double) * static_cast<std::size_t>(x.size())) ==
+             0;
 }
 
 /// Content identity of a resident operand: handles are never rewritten in
-/// place, so (id, epoch) pins the bytes without hashing them. Note that
-/// alternating execute() and execute_dist() against the same operand
-/// re-inverts on each switch (one cache, two key domains) — batch through
-/// one path.
+/// place, so (id, epoch) pins the bytes without hashing them. This is the
+/// diagonal-inverse cache key on every path.
 std::uint64_t handle_fingerprint(const DistHandle& h) {
-  return ((h.id() * 0x9E3779B97F4A7C15ull) ^
-          (h.epoch() + 0x517CC1B727220A95ull)) |
-         kHandleFpTag;
+  return (h.id() * 0x9E3779B97F4A7C15ull) ^
+         (h.epoch() + 0x517CC1B727220A95ull);
 }
 
 /// Largest q with q * q <= p: the square subgrid the Cholesky ops run on.
@@ -266,152 +280,203 @@ Layout Plan::output_layout() const {
   throw Error("output_layout: unknown op");
 }
 
-ExecResult Plan::execute(const Matrix& a, const Matrix& b) {
-  const index_t n = desc_.n;
-  switch (desc_.op) {
-    case Op::kTrsm: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: T must match the planned n x n shape");
-      if (desc_.trsm.side == Side::kRight) {
-        CATRSM_CHECK(b.rows() == desc_.k && b.cols() == n,
-                     "execute: right-side B must be k x n");
-      } else {
-        CATRSM_CHECK(b.rows() == n && b.cols() == desc_.k,
-                     "execute: B must match the planned n x k shape");
+// One in-flight Program run plus its deferred diagonal-inverse cache
+// merge. A cache miss computes Ltilde into the ticket's PRIVATE store
+// (never the plan's shared one — a concurrent reuse stream may be reading
+// that); settle() merges it into the plan under diag_mu_, and only when
+// no reader is in flight.
+struct DistTicket::Shared {
+  std::shared_ptr<Plan> plan;
+  Program::AsyncResult async;
+
+  std::unique_ptr<std::vector<Matrix>> ltilde;
+  std::uint64_t merge_fp = 0;
+
+  std::mutex mu;
+  bool assembled = false;
+  Program::Result result;
+  std::exception_ptr outcome;
+
+  /// Wait for the run once, merge the cache, and return (or rethrow) the
+  /// stored outcome.
+  const Program::Result& settle() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!assembled) {
+      assembled = true;
+      try {
+        result = async.wait();
+        if (ltilde != nullptr) {
+          std::lock_guard<std::mutex> dl(plan->diag_mu_);
+          ++plan->diag_inversions_;  // the inverter DID run, merged or not
+          if (plan->diag_readers_ == 0) {
+            plan->diag_locals_ = std::move(*ltilde);
+            plan->diag_fp_ = merge_fp;
+            plan->diag_valid_ = true;
+          }
+          // A reader in flight pins the shared cache; dropping the
+          // private blocks costs one future re-inversion, never
+          // correctness.
+        }
+      } catch (...) {
+        outcome = std::current_exception();
       }
-      return run_trsm(a, b, desc_.trsm);
+      ltilde.reset();
     }
-    case Op::kTriInv:
-      return run_tri_inv(a);
-    case Op::kCholesky: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: A must match the planned n x n shape");
-      return run_cholesky(a);
-    }
-    case Op::kCholeskySolve: {
-      CATRSM_CHECK(a.rows() == n && a.cols() == n,
-                   "execute: A must match the planned n x n shape");
-      CATRSM_CHECK(b.rows() == n && b.cols() == desc_.k,
-                   "execute: B must match the planned n x k shape");
-      ExecResult r = run_cholesky_solve(
-          [&a](index_t i, index_t j) { return a(i, j); },
-          [&b](index_t i, index_t j) { return b(i, j); });
-      r.residual = spd_residual(a, b, r.x);
-      return r;
-    }
-    case Op::kMatmul3D:
-    case Op::kMatmul2D:
-      return run_matmul(a, b);
+    if (outcome) std::rethrow_exception(outcome);
+    return result;
   }
-  throw Error("execute: unknown op");
+};
+
+bool Plan::caches_inverse() const {
+  return desc_.op == Op::kTrsm && !desc_.trsm.transpose &&
+         config_.algorithm == model::Algorithm::kIterative;
 }
 
-std::vector<ExecResult> Plan::execute_batch(const Matrix& a,
-                                            const std::vector<Matrix>& bs) {
-  std::vector<ExecResult> out;
-  out.reserve(bs.size());
-  for (const Matrix& b : bs) out.push_back(execute(a, b));
-  return out;
+Plan& Plan::kernel_plan() {
+  if (kernel_ == nullptr) {
+    OpDesc d = desc_;
+    d.trsm.side = Side::kLeft;
+    d.trsm.uplo = la::Uplo::kLower;
+    d.trsm.transpose = false;
+    kernel_ = ctx_->plan(d);
+  }
+  return *kernel_;
+}
+
+std::uint64_t Plan::diag_inversions() const {
+  return kernel_ != nullptr ? kernel_->diag_inversions() : diag_inversions_;
+}
+
+DistHandle Plan::upload_operand(const Matrix& a) {
+  if (!caches_inverse()) return ctx_->upload(a, input_layout(0));
+  // Keep the last uploaded operand: a repeat of the same bytes reuses its
+  // handle, so the handle-keyed diagonal-inverse cache hits. A poisoned
+  // handle is replaced from the caller's bytes instead of failing. The
+  // kept copy doubles as the handle's upload source, so keeping it costs
+  // no extra memory.
+  if (!host_a_.valid() || !same_bytes(*host_src_, a) || host_a_.poisoned()) {
+    auto src = std::make_shared<const Matrix>(a);
+    host_a_ = ctx_->upload(
+        [src](index_t i, index_t j) { return (*src)(i, j); }, a.rows(),
+        a.cols(), input_layout(0));
+    host_src_ = std::move(src);
+  }
+  return host_a_;
+}
+
+ExecResult Plan::execute(const Matrix& a, const Matrix& b) {
+  ExecResult r;
+  r.config = config_;
+  if (desc_.op == Op::kTrsm || desc_.op == Op::kMatmul3D ||
+      desc_.op == Op::kMatmul2D) {
+    BatchResult br = execute_batch(a, {b});
+    r.x = std::move(br.xs[0]);
+    r.stats = std::move(br.stats);
+    r.residual = br.residuals[0];
+    return r;
+  }
+  const index_t n = desc_.n;
+  CATRSM_CHECK(a.rows() == n && a.cols() == n,
+               "execute: A must match the planned n x n shape");
+  DistHandle hb;
+  if (desc_.op == Op::kCholeskySolve) {
+    CATRSM_CHECK(b.rows() == n && b.cols() == desc_.k,
+                 "execute: B must match the planned n x k shape");
+    hb = ctx_->upload(b, input_layout(1));
+  }
+  DistExecResult d = execute_dist(upload_operand(a), hb);
+  r.stats = std::move(d.stats);
+  r.x = ctx_->download(d.x);
+  switch (desc_.op) {
+    case Op::kTriInv:
+      r.residual = la::inv_residual(a, r.x);
+      break;
+    case Op::kCholesky: {
+      // Factorization residual: ||L L^T - A|| / ||A||.
+      Matrix llt = la::matmul(r.x, r.x.transposed());
+      llt.sub(a);
+      r.residual = la::frobenius_norm(llt) / (la::frobenius_norm(a) + 1e-300);
+      break;
+    }
+    default:  // kCholeskySolve
+      r.residual = spd_residual(a, b, r.x);
+      break;
+  }
+  return r;
 }
 
 sim::Cost BatchResult::algorithm_cost() const {
   return stats.phase_cost("algorithm");
 }
 
-BatchResult Plan::execute_batch_fused(const Matrix& a,
-                                      const std::vector<Matrix>& bs) {
+BatchResult Plan::execute_batch(const Matrix& a,
+                                const std::vector<Matrix>& bs) {
   CATRSM_CHECK(desc_.op == Op::kTrsm || desc_.op == Op::kMatmul3D ||
                    desc_.op == Op::kMatmul2D,
-               "execute_batch_fused: fuses trsm and matmul panel streams — "
-               "other ops: use execute_batch");
-  if (desc_.op == Op::kTrsm) {
-    CATRSM_CHECK(desc_.trsm.side == Side::kLeft &&
-                     desc_.trsm.uplo == la::Uplo::kLower &&
-                     !desc_.trsm.mixed_precision,
-                 "execute_batch_fused: normalized lower-left distributed "
-                 "kernel only (no right/upper/mixed-precision variants)");
+               "execute_batch: batches trsm and matmul panel streams only");
+  const bool is_trsm = desc_.op == Op::kTrsm;
+  const index_t acols = is_trsm ? desc_.n : desc_.inner;
+  const index_t brows = is_trsm ? desc_.n : desc_.inner;
+  CATRSM_CHECK(a.rows() == desc_.n && a.cols() == acols,
+               "execute: operand must match the planned shape");
+
+  if (is_trsm_variant(desc_)) {
+    // Rewrite onto the lower-left kernel plan (same (n, k, p, spec), so
+    // the same Config), then map the solutions back.
+    const KernelForm f = kernel_form(desc_.trsm);
+    std::vector<Matrix> cs;
+    cs.reserve(bs.size());
+    for (const Matrix& b : bs) {
+      CATRSM_CHECK(f.right ? b.rows() == desc_.k && b.cols() == desc_.n
+                           : b.rows() == desc_.n && b.cols() == desc_.k,
+                   "execute: B must match the planned shape (right-side B "
+                   "is k x n)");
+      cs.push_back(kernel_rhs(b, f));
+    }
+    BatchResult r = kernel_plan().execute_batch(kernel_operand(a, f), cs);
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      r.xs[i] = from_kernel(r.xs[i], f);
+      r.residuals[i] = variant_residual(a, r.xs[i], bs[i], desc_.trsm);
+    }
+    return r;
   }
+
+  for (const Matrix& b : bs)
+    CATRSM_CHECK(b.rows() == brows && b.cols() == desc_.k,
+                 "execute: panel must match the planned shape");
   BatchResult result;
   result.config = config_;
   if (bs.empty()) return result;
 
-  const bool is_trsm = desc_.op == Op::kTrsm;
-  const index_t arows = desc_.n;
-  const index_t acols = is_trsm ? desc_.n : desc_.inner;
-  const index_t brows = is_trsm ? desc_.n : desc_.inner;
-  const index_t bcols = desc_.k;
-  CATRSM_CHECK(a.rows() == arows && a.cols() == acols,
-               "execute_batch_fused: operand must match the planned shape");
-  for (const Matrix& b : bs)
-    CATRSM_CHECK(b.rows() == brows && b.cols() == bcols,
-                 "execute_batch_fused: panel must match the planned shape");
-
-  // ONE describe-only realization per operand layout, shared by every
-  // upload and download in the batch — the host-side analogue of the
-  // plan's frozen grid (the unfused path rebuilt these per panel).
+  // The whole panel stream as one Program: the operand once, one step and
+  // one marked output per panel, executed in a single Machine::run. One
+  // describe-only realization per layout serves every panel's upload and
+  // download.
   const int p = ctx_->nprocs();
-  const Layout lay_a = input_layout(0);
   const Layout lay_b = input_layout(1);
   const Layout lay_x = output_layout();
-  const auto da = detail::realize_host(lay_a, arows, acols, p);
-  const auto db = detail::realize_host(lay_b, brows, bcols, p);
-  const auto dx = detail::realize_host(lay_x, desc_.n, bcols, p);
-
-  // The whole panel stream as one Program: input L once, one step + one
-  // marked output per panel, executed in a single Machine::run with
-  // every intermediate resident in the HandleStore.
+  const auto db = detail::realize_host(lay_b, brows, desc_.k, p);
+  const auto dx = detail::realize_host(lay_x, desc_.n, desc_.k, p);
   Program prog(*ctx_);
-  std::vector<DistHandle> handles;
+  std::vector<DistHandle> handles{upload_operand(a)};
   handles.reserve(bs.size() + 1);
-  handles.push_back(ctx_->upload_on(a, lay_a, da));
-  const Program::NodeId na = prog.input(arows, acols);
+  const Program::NodeId na = prog.input(desc_.n, acols);
   for (const Matrix& b : bs) {
     handles.push_back(ctx_->upload_on(b, lay_b, db));
-    const Program::NodeId nb = prog.input(brows, bcols);
+    const Program::NodeId nb = prog.input(brows, desc_.k);
     prog.mark_output(prog.add(shared_from_this(), {na, nb}));
   }
+  const DistTicket ticket = launch(prog, handles);
+  const Program::Result& r = ticket.s_->settle();
 
-  // Iterative-TRSM diagonal-inverse sharing: the first panel's step
-  // computes Ltilde into the plan's cache (unless a prior call against
-  // the same operand bytes already did), every later panel reuses it IN
-  // the same simulated run — the fused form of execute_batch's
-  // once-per-operand inversion.
-  bool diag_store = false;
-  bool reuse = false;
-  if (is_trsm && !desc_.trsm.transpose &&
-      config_.algorithm == model::Algorithm::kIterative) {
-    const std::uint64_t fp = fingerprint(a);
-    reuse = diag_valid_ && diag_fp_ == fp;
-    if (!reuse) {
-      diag_locals_.assign(static_cast<std::size_t>(p), Matrix{});
-      diag_fp_ = fp;
-      diag_valid_ = false;
-    }
-    diag_store = true;
-    for (std::size_t i = 0; i < prog.steps_.size(); ++i) {
-      prog.steps_[i].ltilde_store = &diag_locals_;
-      prog.steps_[i].reuse_ltilde = reuse || i > 0;
-    }
-  }
-
-  Program::Result r = prog.run(handles);
-  if (diag_store && !reuse) {
-    diag_valid_ = true;
-    ++diag_inversions_;
-  }
-
-  result.stats = std::move(r.stats);
+  result.stats = r.stats;
   result.program_stats = prog.stats();
   result.xs.reserve(bs.size());
   result.residuals.reserve(bs.size());
   for (std::size_t i = 0; i < bs.size(); ++i) {
     Matrix x = ctx_->download_on(r.outputs[i], dx);
-    double resid = 0.0;
-    if (is_trsm)
-      resid = desc_.trsm.transpose
-                  ? la::trsm_residual(a.transposed(), x, bs[i])
-                  : la::trsm_residual(a, x, bs[i]);
-    result.residuals.push_back(resid);
+    result.residuals.push_back(is_trsm ? la::trsm_residual(a, x, bs[i])
+                                       : 0.0);
     result.xs.push_back(std::move(x));
   }
   return result;
@@ -422,7 +487,14 @@ ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
   CATRSM_CHECK(desc_.op == Op::kCholeskySolve,
                "execute_generated: only the cholesky-solve op accepts "
                "generator inputs");
-  ExecResult r = run_cholesky_solve(a_gen, b_gen);
+  // Generator-fed upload: no rank ever materializes a global operand.
+  DistExecResult d = execute_dist(
+      ctx_->upload(a_gen, desc_.n, desc_.n, input_layout(0)),
+      ctx_->upload(b_gen, desc_.n, desc_.k, input_layout(1)));
+  ExecResult r;
+  r.config = config_;
+  r.stats = std::move(d.stats);
+  r.x = ctx_->download(d.x);
   if (verify) {
     // Verification only: materialize the global system once, host-side.
     Matrix a(desc_.n, desc_.n);
@@ -436,27 +508,6 @@ ExecResult Plan::execute_generated(const Gen& a_gen, const Gen& b_gen,
   return r;
 }
 
-// One in-flight execute_dist stream: the launched Program run plus the
-// deferred diagonal-inverse cache merge. The non-reuse iterative TRSM
-// computes Ltilde into the ticket's PRIVATE store (never the plan's
-// shared one — a concurrent reuse stream may be reading that); wait()
-// merges it into the plan under diag_mu_, and only when no reader is in
-// flight.
-struct DistTicket::Shared {
-  std::shared_ptr<Plan> plan;
-  model::Config config;
-  Program::AsyncResult async;
-
-  std::unique_ptr<std::vector<Matrix>> ltilde;
-  std::uint64_t merge_fp = 0;
-  bool merge = false;
-
-  std::mutex mu;
-  bool assembled = false;
-  DistExecResult result;
-  std::exception_ptr outcome;
-};
-
 DistExecResult Plan::execute_dist(const DistHandle& a, const DistHandle& b) {
   return execute_dist_async(a, b).wait();
 }
@@ -468,14 +519,9 @@ DistTicket Plan::execute_dist_async(const DistHandle& a,
   CATRSM_CHECK(!needs_b || b.valid(),
                "execute_dist: op needs a second operand handle");
 
-  auto sh = std::make_shared<DistTicket::Shared>();
-  sh->plan = shared_from_this();
-  sh->config = config_;
-
   if (desc_.op == Op::kCholeskySolve) {
     Program prog = make_cholesky_program();
-    sh->async = prog.run_async({a, b});
-    return DistTicket(std::move(sh));
+    return launch(prog, {a, b});
   }
 
   // One-step program: ALL validation (variant rules, shapes, machine
@@ -491,27 +537,32 @@ DistTicket Plan::execute_dist_async(const DistHandle& a,
     args.push_back(prog.input(b.rows(), b.cols()));
     inputs.push_back(b);
   }
-  const Program::NodeId nx = prog.add(shared_from_this(), std::move(args));
+  prog.mark_output(prog.add(shared_from_this(), std::move(args)));
+  return launch(prog, inputs);
+}
 
-  // Diagonal-inverse reuse keyed on the handle's content identity — no
-  // byte hashing on the resident path. Set up only after add() accepted
-  // the step, so a rejected call cannot clobber a live cache. A cache
-  // hit makes this run a READER of the shared blocks: count it so no
-  // concurrent wait() merges (rewrites) the vector under its fibers —
-  // the count drops on a worker thread the moment the run completes.
+DistTicket Plan::launch(Program& prog, const std::vector<DistHandle>& inputs) {
+  auto sh = std::make_shared<DistTicket::Shared>();
+  sh->plan = shared_from_this();
+
+  // Diagonal-inverse reuse keyed on the operand handle's content
+  // identity: every step of this program solves against inputs[0]. A hit
+  // makes the run a READER of the shared blocks: count it so no
+  // concurrent settle() merges (rewrites) the vector under its fibers —
+  // the count drops on a worker thread the moment the run completes. A
+  // miss inverts in the first step into the private store, and later
+  // steps reuse it in the same run.
   std::function<void()> on_complete;
   bool reader = false;
-  if (desc_.op == Op::kTrsm && !desc_.trsm.transpose &&
-      config_.algorithm == model::Algorithm::kIterative) {
-    const std::uint64_t fp = handle_fingerprint(a);
+  if (caches_inverse()) {
+    const std::uint64_t fp = handle_fingerprint(inputs[0]);
     std::lock_guard<std::mutex> lock(diag_mu_);
+    std::vector<Matrix>* store = nullptr;
     if (diag_valid_ && diag_fp_ == fp) {
-      prog.steps_.back().ltilde_store = &diag_locals_;
-      prog.steps_.back().reuse_ltilde = true;
+      store = &diag_locals_;
       ++diag_readers_;
       reader = true;
-      std::shared_ptr<Plan> self = shared_from_this();
-      on_complete = [self] {
+      on_complete = [self = sh->plan] {
         std::lock_guard<std::mutex> l(self->diag_mu_);
         --self->diag_readers_;
       };
@@ -519,12 +570,13 @@ DistTicket Plan::execute_dist_async(const DistHandle& a,
       sh->ltilde = std::make_unique<std::vector<Matrix>>(
           static_cast<std::size_t>(ctx_->nprocs()));
       sh->merge_fp = fp;
-      sh->merge = true;
-      prog.steps_.back().ltilde_store = sh->ltilde.get();
-      prog.steps_.back().reuse_ltilde = false;
+      store = sh->ltilde.get();
+    }
+    for (std::size_t i = 0; i < prog.steps_.size(); ++i) {
+      prog.steps_[i].ltilde_store = store;
+      prog.steps_[i].reuse_ltilde = reader || i > 0;
     }
   }
-  prog.mark_output(nx);
   try {
     sh->async = prog.run_async(inputs, std::move(on_complete));
   } catch (...) {
@@ -546,238 +598,12 @@ bool DistTicket::done() const {
 
 DistExecResult DistTicket::wait() {
   CATRSM_CHECK(s_ != nullptr, "DistTicket: empty ticket");
-  std::lock_guard<std::mutex> lock(s_->mu);
-  Shared& sh = *s_;
-  if (!sh.assembled) {
-    sh.assembled = true;
-    try {
-      Program::Result r = sh.async.wait();
-      sh.result.config = sh.config;
-      sh.result.x = std::move(r.outputs[0]);
-      sh.result.stats = std::move(r.stats);
-      if (sh.merge) {
-        Plan& plan = *sh.plan;
-        std::lock_guard<std::mutex> dl(plan.diag_mu_);
-        ++plan.diag_inversions_;  // the inverter DID run, merged or not
-        if (plan.diag_readers_ == 0) {
-          plan.diag_locals_ = std::move(*sh.ltilde);
-          plan.diag_fp_ = sh.merge_fp;
-          plan.diag_valid_ = true;
-        }
-        // A reader in flight pins the shared cache; dropping the private
-        // blocks costs one future re-inversion, never correctness.
-      }
-    } catch (...) {
-      sh.outcome = std::current_exception();
-    }
-    sh.ltilde.reset();
-  }
-  if (sh.outcome) std::rethrow_exception(sh.outcome);
-  return sh.result;
-}
-
-ExecResult Plan::run_trsm(const Matrix& t, const Matrix& b,
-                          const TrsmSpec& spec) {
-  // --- Normalize right-side solves: X op(T) = B  <=>  op(T)^T X^T = B^T.
-  if (spec.side == Side::kRight) {
-    TrsmSpec inner = spec;
-    inner.side = Side::kLeft;
-    inner.transpose = !spec.transpose;
-    ExecResult r = run_trsm(t, b.transposed(), inner);
-    r.x = r.x.transposed();
-    Matrix prod = la::matmul(r.x, effective_operand(t, spec));
-    prod.sub(b);
-    r.residual = la::frobenius_norm(prod) /
-                 (la::frobenius_norm(t) * la::frobenius_norm(r.x) +
-                  la::frobenius_norm(b) + 1e-300);
-    return r;
-  }
-
-  // --- Normalize upper operands.
-  if (spec.uplo == la::Uplo::kUpper) {
-    TrsmSpec inner = spec;
-    inner.uplo = la::Uplo::kLower;
-    if (spec.transpose) {
-      // U^T is already lower-triangular: solve directly with it.
-      inner.transpose = false;
-      ExecResult r = run_trsm(t.transposed(), b, inner);
-      r.residual = la::trsm_residual(t.transposed(), r.x, b);
-      return r;
-    }
-    // U X = B: J U J is lower, X = J * lower_solve(J U J, J B).
-    ExecResult r = run_trsm(reversed_both(t), reversed_rows(b), inner);
-    r.x = reversed_rows(r.x);
-    r.residual = la::trsm_residual(t, r.x, b);
-    return r;
-  }
-
-  // --- Lower transposed: X = J * lower_solve(J L^T J, J B).
-  if (spec.transpose) {
-    TrsmSpec inner = spec;
-    inner.transpose = false;
-    ExecResult r =
-        run_trsm(reversed_both(t.transposed()), reversed_rows(b), inner);
-    r.x = reversed_rows(r.x);
-    r.residual = la::trsm_residual(t.transposed(), r.x, b);
-    return r;
-  }
-
-  // --- Mixed precision: normalized kernel, solved host-side by the f32 +
-  // f64-refinement path. No simulated machine involved.
-  if (spec.mixed_precision) {
-    ExecResult result;
-    result.config = config_;
-    Matrix x = b;
-    const la::RefineStats rs =
-        la::trsm_refined(la::Uplo::kLower, la::Diag::kNonUnit, t, x);
-    result.x = std::move(x);
-    result.residual = rs.residual;
-    return result;
-  }
-
-  return run_trsm_kernel(t, b);
-}
-
-ExecResult Plan::run_trsm_kernel(const Matrix& l, const Matrix& b) {
-  const index_t n = l.rows();
-  const index_t k = b.cols();
-  CATRSM_CHECK(l.cols() == n, "execute: L must be square");
-  CATRSM_CHECK(b.rows() == n, "execute: dimension mismatch");
-  sim::Machine& machine = ctx_->machine();
-  const int p = machine.nprocs();
-
-  ExecResult result;
-  result.config = config_;
-  const model::Config& cfg = config_;
-
-  // Iterative algorithm: reuse the inverted diagonal blocks across
-  // executes against the same (normalized) operand.
-  bool reuse = false;
-  std::vector<Matrix>* store = nullptr;
-  if (cfg.algorithm == model::Algorithm::kIterative) {
-    const std::uint64_t fp = fingerprint(l);
-    reuse = diag_valid_ && diag_fp_ == fp;
-    if (!reuse) {
-      diag_locals_.assign(static_cast<std::size_t>(p), Matrix{});
-      diag_fp_ = fp;
-      diag_valid_ = false;
-    }
-    store = &diag_locals_;
-  }
-
-  // One describe-only communicator set per kernel shape: a batch of
-  // panels (execute_batch) reuses these maps across every panel and every
-  // rank instead of rebuilding them inside each run. Construction charges
-  // nothing, so the hoist leaves modeled costs untouched. Iterative only:
-  // it_inv_trsm communicates exclusively through the comm argument, while
-  // the recursive/2D/1D bodies pull live fibers out of the operand's face
-  // and must keep in-run distributions.
-  const bool share_dists = cfg.algorithm == model::Algorithm::kIterative;
-  if (share_dists && (host_a_dist_ == nullptr || host_dist_rows_ != n ||
-                      host_dist_cols_ != k)) {
-    detail::TrsmDists hd = detail::trsm_dists_host(cfg, n, k, p);
-    host_a_dist_ = std::move(hd.l);
-    host_b_dist_ = std::move(hd.b);
-    host_dist_rows_ = n;
-    host_dist_cols_ = k;
-  }
-
-  auto [x_out, stats] = run_and_collect(machine, n, k, [&](sim::Rank& r)
-      -> std::optional<std::pair<DistMatrix, sim::Comm>> {
-    sim::Comm world = sim::Comm::world(r);
-    // The "algorithm" scope closes before the output gather so that
-    // algorithm_cost() excludes the driver's collect, as documented.
-    DistMatrix x = [&]() -> DistMatrix {
-      sim::PhaseScope algorithm_scope(r, "algorithm");
-      const detail::TrsmDists dists =
-          share_dists ? detail::TrsmDists{host_a_dist_, host_b_dist_}
-                      : detail::trsm_dists(world, cfg, n, k);
-      DistMatrix dl(dists.l, r.id());
-      dl.fill([&](index_t i, index_t j) { return l(i, j); });
-      DistMatrix db(dists.b, r.id());
-      db.fill([&](index_t i, index_t j) { return b(i, j); });
-      detail::TrsmBodyOptions bopts;
-      bopts.ltilde_store = store;
-      bopts.reuse_ltilde = reuse;
-      return detail::trsm_solve(desc_, cfg, world, dl, db, bopts);
-    }();
-    return std::pair<DistMatrix, sim::Comm>{std::move(x), world};
-  });
-  result.stats = std::move(stats);
-
-  if (store != nullptr && !reuse) {
-    diag_valid_ = true;
-    ++diag_inversions_;
-  }
-
-  result.x = std::move(x_out);
-  result.residual = la::trsm_residual(l, result.x, b);
-  return result;
-}
-
-ExecResult Plan::run_tri_inv(const Matrix& l) {
-  const index_t n = desc_.n;
-  CATRSM_CHECK(l.rows() == n && l.cols() == n,
-               "execute: L must match the planned n x n shape");
-  sim::Machine& machine = ctx_->machine();
-
-  ExecResult result;
-  result.config = config_;
-  auto [x_out, stats] = run_and_collect(machine, n, n, [&](sim::Rank& r)
-      -> std::optional<std::pair<DistMatrix, sim::Comm>> {
-    sim::Comm world = sim::Comm::world(r);
-    Face2D face(world, config_.pr, config_.pc);
-    auto ld = dist::cyclic_on(face, n, n);
-    DistMatrix dl(ld, r.id());
-    dl.fill([&](index_t i, index_t j) { return l(i, j); });
-    DistMatrix dinv = [&] {
-      sim::PhaseScope scope(r, "algorithm");
-      return detail::op_body(desc_, config_, world, dl, DistMatrix{},
-                             detail::TrsmBodyOptions{});
-    }();
-    return std::pair<DistMatrix, sim::Comm>{std::move(dinv), world};
-  });
-
-  result.stats = std::move(stats);
-  result.x = std::move(x_out);
-  result.residual = la::inv_residual(l, result.x);
-  return result;
-}
-
-ExecResult Plan::run_cholesky(const Matrix& a) {
-  const index_t n = desc_.n;
-  sim::Machine& machine = ctx_->machine();
-  const int active = config_.p1 * config_.p1;
-
-  ExecResult result;
-  result.config = config_;
-  auto [l_out, stats] = run_and_collect(machine, n, n, [&](sim::Rank& r)
-      -> std::optional<std::pair<DistMatrix, sim::Comm>> {
-    // The factor runs on the q x q subgrid; surplus ranks idle.
-    if (r.id() >= active) return std::nullopt;
-    std::vector<int> members(static_cast<std::size_t>(active));
-    std::iota(members.begin(), members.end(), 0);
-    sim::Comm sub(r, members);
-    Face2D face(sub, config_.p1, config_.p1);
-    auto ad = dist::cyclic_on(face, n, n);
-    DistMatrix da(ad, r.id());
-    da.fill([&](index_t i, index_t j) { return a(i, j); });
-    DistMatrix dl = [&] {
-      sim::PhaseScope scope(r, "algorithm");
-      return detail::op_body(desc_, config_, sub, da, DistMatrix{},
-                             detail::TrsmBodyOptions{});
-    }();
-    return std::pair<DistMatrix, sim::Comm>{std::move(dl), sub};
-  });
-
-  result.stats = std::move(stats);
-  result.x = std::move(l_out);
-  // Factorization residual: ||L L^T - A|| / ||A||.
-  Matrix llt = la::matmul(result.x, result.x.transposed());
-  llt.sub(a);
-  result.residual =
-      la::frobenius_norm(llt) / (la::frobenius_norm(a) + 1e-300);
-  return result;
+  const Program::Result& r = s_->settle();
+  DistExecResult out;
+  out.x = r.outputs[0];
+  out.stats = r.stats;
+  out.config = s_->plan->config();
+  return out;
 }
 
 Program Plan::make_cholesky_program() {
@@ -806,70 +632,6 @@ Program Plan::make_cholesky_program() {
   const auto nx = prog.add(bwd_plan, {nl, ny}, "backward-trsm");
   prog.mark_output(nx);
   return prog;
-}
-
-std::pair<DistHandle, sim::RunStats> Plan::run_cholesky_program(
-    const DistHandle& a, const DistHandle& b) {
-  Program prog = make_cholesky_program();
-  Program::Result r = prog.run({a, b});
-  return {std::move(r.outputs[0]), std::move(r.stats)};
-}
-
-ExecResult Plan::run_cholesky_solve(const Gen& a_gen, const Gen& b_gen) {
-  const index_t n = desc_.n;
-  const index_t k = desc_.k;
-  const int q = config_.p1;
-
-  // Scatter once (host-side, generator-fed: no rank ever materializes a
-  // global operand), run the 3-op program in ONE simulated run with no
-  // intermediate collects, assemble X host-side.
-  DistHandle ha = ctx_->upload(a_gen, n, n, cyclic_layout(q, q));
-  DistHandle hb = ctx_->upload(b_gen, n, k, row_blocked_layout(q, 1));
-  auto [hx, stats] = run_cholesky_program(ha, hb);
-
-  ExecResult result;
-  result.config = config_;
-  result.stats = std::move(stats);
-  result.x = ctx_->download(hx);
-  return result;
-}
-
-ExecResult Plan::run_matmul(const Matrix& a, const Matrix& x) {
-  const index_t m = desc_.n;
-  const index_t inner = desc_.inner;
-  const index_t k = desc_.k;
-  CATRSM_CHECK(a.rows() == m && a.cols() == inner,
-               "execute: A must match the planned shape");
-  CATRSM_CHECK(x.rows() == inner && x.cols() == k,
-               "execute: X must match the planned shape");
-  sim::Machine& machine = ctx_->machine();
-
-  ExecResult result;
-  result.config = config_;
-  auto [c_out, stats] = run_and_collect(machine, m, k, [&](sim::Rank& r)
-      -> std::optional<std::pair<DistMatrix, sim::Comm>> {
-    sim::Comm world = sim::Comm::world(r);
-    // SUMMA pulls live row/column fibers out of these faces, so the
-    // distributions must stay per-rank and in-run (unlike the iterative
-    // TRSM kernel's hoisted describe-only set).
-    Face2D face(world, config_.pr, config_.pc);
-    auto ad = dist::cyclic_on(face, m, inner);
-    auto xd = dist::cyclic_on(face, inner, k);
-    DistMatrix da(ad, r.id());
-    da.fill([&](index_t i, index_t j) { return a(i, j); });
-    DistMatrix dx(xd, r.id());
-    dx.fill([&](index_t i, index_t j) { return x(i, j); });
-    DistMatrix dc = [&] {
-      sim::PhaseScope scope(r, "algorithm");
-      return detail::op_body(desc_, config_, world, da, dx,
-                             detail::TrsmBodyOptions{});
-    }();
-    return std::pair<DistMatrix, sim::Comm>{std::move(dc), world};
-  });
-
-  result.stats = std::move(stats);
-  result.x = std::move(c_out);
-  return result;
 }
 
 }  // namespace catrsm::api

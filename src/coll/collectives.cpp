@@ -244,6 +244,7 @@ Buffer reduce_scatter(const sim::Comm& comm, Buffer full,
   const double* wsrc = work.data();
   std::size_t gpos = 0;
   const auto append = [&](std::size_t lo, std::size_t hi) {
+    if (hi == lo) return;  // empty segment: its buffers may be null
     std::memcpy(gout + gpos, wsrc + lo, (hi - lo) * sizeof(double));
     gpos += hi - lo;
   };

@@ -2,9 +2,9 @@
 // Persistent rank scheduler backing Machine::run / Machine::run_async.
 //
 // The seed execution model spawned and joined p fresh OS threads on every
-// run, so a Plan::execute_batch of m items at p ranks paid m*p thread
-// start-ups — and, worse, every blocked receive cost a kernel context
-// switch. Production machines simulate p = 64+ ranks on a handful of
+// run, so m Plan::execute calls at p ranks paid m*p thread start-ups —
+// and, worse, every blocked receive cost a kernel context switch.
+// Production machines simulate p = 64+ ranks on a handful of
 // cores, where that kernel churn dominates wall-clock while the cost
 // model charges nothing for it.
 //

@@ -50,16 +50,14 @@ struct SolveOptions {
 
 struct SolveResult {
   la::Matrix x;
-  /// Full-run stats. Phase buckets: "algorithm" (the distributed solve
-  /// itself — compare THIS against the paper's formulas), "input-fill"
-  /// (none: fills are local), and "output-collect" (the allgather that
-  /// materializes the global X for the caller).
+  /// Stats of the run: the "algorithm" phase (the distributed solve
+  /// itself — compare THIS against the paper's formulas). Operands are
+  /// uploaded and X downloaded host-side, which charges nothing.
   sim::RunStats stats;
   model::Config config;
   double residual = 0.0;
 
-  /// Max-over-ranks cost of the distributed solve only, excluding the
-  /// driver's output gather.
+  /// Max-over-ranks cost of the distributed solve.
   sim::Cost algorithm_cost() const { return stats.phase_cost("algorithm"); }
 };
 

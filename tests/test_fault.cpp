@@ -486,7 +486,7 @@ TEST(FaultApi, FaultedFusedBatchPoisonsWholeRunAndRepairRecovers) {
 
   api::Context ctx(4);
   auto plan = ctx.plan(api::trsm_op(n, k));
-  const api::BatchResult ref = plan->execute_batch_fused(l, bs);
+  const api::BatchResult ref = plan->execute_batch(l, bs);
 
   // The handle-level form of the same stream, so poisoning is observable.
   api::Program prog(ctx);
@@ -522,12 +522,13 @@ TEST(FaultApi, FaultedFusedBatchPoisonsWholeRunAndRepairRecovers) {
                     .equals(ref.xs[j]));
   }
 
-  // And the convenience wrapper recovers by itself: fresh uploads per
-  // call, so a faulted execute_batch_fused just needs a retry.
+  // And the convenience wrapper recovers by itself: it replaces a
+  // poisoned operand handle from the caller's bytes, so a faulted
+  // execute_batch just needs a retry.
   ctx.machine().arm_fault(FaultPlan{FaultClass::kKillRank, 45});
-  EXPECT_THROW((void)plan->execute_batch_fused(l, bs), std::exception);
+  EXPECT_THROW((void)plan->execute_batch(l, bs), std::exception);
   ctx.machine().disarm_fault();
-  const api::BatchResult again = plan->execute_batch_fused(l, bs);
+  const api::BatchResult again = plan->execute_batch(l, bs);
   for (int i = 0; i < items; ++i)
     EXPECT_TRUE(again.xs[static_cast<std::size_t>(i)]
                     .equals(ref.xs[static_cast<std::size_t>(i)]));

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <vector>
 
-#include "api/catrsm.hpp"
 #include "la/generate.hpp"
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
@@ -167,42 +166,6 @@ TEST(Mixed, EmptyAndTinyProblems) {
       trsm_refined(Uplo::kLower, Diag::kNonUnit, l1, x1, 4);
   EXPECT_TRUE(rs1.converged);
   EXPECT_NEAR(x1(0, 0), b1(0, 0) / l1(0, 0), 1e-12);
-}
-
-TEST(Mixed, PlanApiMixedPrecisionSolve) {
-  const index_t n = 129, k = 16;
-  const Matrix l = make_lower_triangular(81, n);
-  const Matrix b = make_dense(82, n, k);
-
-  api::Context ctx(1);
-  api::TrsmSpec spec;
-  spec.mixed_precision = true;
-  auto plan = ctx.plan(api::trsm_op(n, k, spec));
-  const api::ExecResult r = plan->execute(l, b);
-
-  Matrix ref = b;
-  trsm_left(Uplo::kLower, Diag::kNonUnit, l, ref);
-  EXPECT_LT(max_abs_diff(r.x, ref), 1e-9);
-  EXPECT_LT(trsm_residual(l, r.x, b), 1e-14);
-}
-
-TEST(Mixed, PlanApiMixedPrecisionUpperVariant) {
-  // Upper solves reach the mixed branch through the same index-reversal
-  // normalization as the distributed kernels.
-  const index_t n = 96, k = 8;
-  const Matrix u = make_upper_triangular(83, n);
-  const Matrix b = make_dense(84, n, k);
-
-  api::Context ctx(1);
-  api::TrsmSpec spec;
-  spec.uplo = Uplo::kUpper;
-  spec.mixed_precision = true;
-  auto plan = ctx.plan(api::trsm_op(n, k, spec));
-  const api::ExecResult r = plan->execute(u, b);
-
-  Matrix ref = b;
-  trsm_left(Uplo::kUpper, Diag::kNonUnit, u, ref);
-  EXPECT_LT(max_abs_diff(r.x, ref), 1e-9);
 }
 
 }  // namespace

@@ -155,6 +155,46 @@ TEST(Streams, ConcurrentPoolMatchesSerialBitwise) {
   EXPECT_EQ(pool.pending(), 0u);
 }
 
+TEST(Streams, MatrixPathLeavesTheCacheAloneUnderAnInFlightReader) {
+  // Regression: execute and execute_batch against a new operand used to
+  // rewrite the plan's diagonal-inverse cache without its lock while an
+  // async reuse stream on the same plan was still reading it (the reader
+  // died on "stored ltilde shape mismatch"). Every result must equal the
+  // serial call order bit for bit.
+  const index_t n = 96, k = 24;
+  const int p = 16;
+  const Matrix l = la::make_lower_triangular(901, n);
+  const Matrix l2 = la::make_lower_triangular(902, n);
+  const Matrix b = la::make_rhs(903, n, k);
+
+  Context ref_ctx(p);
+  auto ref_plan = ref_ctx.plan(trsm_op(n, k, iterative_spec()));
+  const DistHandle ref_hl = ref_ctx.upload(l, ref_plan->input_layout(0));
+  const DistHandle ref_hb = ref_ctx.upload(b, ref_plan->input_layout(1));
+  (void)ref_plan->execute_dist(ref_hl, ref_hb);
+  const Matrix x_ref =
+      ref_ctx.download(ref_plan->execute_dist(ref_hl, ref_hb).x);
+  const ExecResult single_ref = ref_plan->execute(l2, b);
+  const BatchResult batch_ref = ref_plan->execute_batch(l2, {b, b});
+
+  Context ctx(p);
+  auto plan = ctx.plan(trsm_op(n, k, iterative_spec()));
+  const DistHandle hl = ctx.upload(l, plan->input_layout(0));
+  const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+  (void)plan->execute_dist(hl, hb);  // warm: the cache holds L's blocks
+  DistTicket reader = plan->execute_dist_async(hl, hb);  // reuses them
+  const ExecResult single = plan->execute(l2, b);
+  const BatchResult batch = plan->execute_batch(l2, {b, b});
+  EXPECT_TRUE(ctx.download(reader.wait().x).equals(x_ref));
+  EXPECT_TRUE(single.x.equals(single_ref.x));
+  EXPECT_EQ(single.residual, single_ref.residual);
+  ASSERT_EQ(batch.xs.size(), 2u);
+  for (std::size_t i = 0; i < batch.xs.size(); ++i) {
+    EXPECT_TRUE(batch.xs[i].equals(batch_ref.xs[i]));
+    EXPECT_EQ(batch.residuals[i], batch_ref.residuals[i]);
+  }
+}
+
 TEST(Streams, FaultedStreamIsIsolatedAndMachineStaysUsable) {
   // A kill fault armed for ONE stream must abort that stream alone: a
   // healthy stream launched (after disarm) while the doomed one is still
