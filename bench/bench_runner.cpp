@@ -31,11 +31,13 @@
 // fused batch's solutions are always compared bit for bit against the
 // unfused ones and any mismatch fails the run.
 //
-// --assert-streams exits non-zero when the concurrent-streams pass of
-// streams/mixed_tenant delivers less than 1.05x the serial loop's
-// solves/sec. Independently of the flag, every concurrent solution is
-// compared bit for bit against its serial counterpart and every
-// request's modeled cost must be identical across the two passes.
+// --assert-streams exits non-zero when, over five interleaved
+// serial/concurrent pairs of streams/mixed_tenant, the median paired
+// ratio of concurrent to serial solves/sec is below 1.05x (min, median
+// and max are printed). Independently of the flag, in every pair each
+// concurrent solution is compared bit for bit against its serial
+// counterpart and every request's modeled cost must be identical across
+// the two passes.
 
 #include <algorithm>
 #include <chrono>
@@ -49,6 +51,7 @@
 
 #include "api/catrsm.hpp"
 #include "api/stream_pool.hpp"
+#include "dist/redistribute.hpp"
 #include "bench_util.hpp"
 #include "la/gemm.hpp"
 #include "la/generate.hpp"
@@ -60,6 +63,7 @@
 #include "la/trsm.hpp"
 #include "model/tuning.hpp"
 #include "sim/slab.hpp"
+#include "trsm/it_inv_trsm.hpp"
 
 namespace {
 
@@ -79,6 +83,8 @@ struct Record {
   double gflops = 0.0;       // kernel cases only: flops / wall-clock
   std::string backend;       // kernel cases only: dispatched micro-kernel
   int threads = 1;           // kernel pool size the case's la:: calls saw
+  int trials = 0;            // dist cases only: wall_ms is the median of
+  double wall_min_ms = 0.0;  // `trials` per-call times, this their min
 };
 
 /// Detected hardware concurrency, stamped into every record: a committed
@@ -101,6 +107,10 @@ void append_json(std::string& out, const Record& r, bool last) {
   out += ", \"threads\": " + std::to_string(r.threads);
   out += ", \"hw_concurrency\": " + std::to_string(hw_concurrency());
   out += ", \"wall_ms\": " + std::to_string(r.wall_ms);
+  if (r.trials > 0) {
+    out += ", \"trials\": " + std::to_string(r.trials);
+    out += ", \"wall_min_ms\": " + std::to_string(r.wall_min_ms);
+  }
   if (!r.backend.empty()) {
     out += ", \"gflops\": " + std::to_string(r.gflops);
     out += ", \"kernel_backend\": \"" + r.backend + "\"";
@@ -581,7 +591,18 @@ void run_oracle_cases(std::vector<Record>& records) {
 /// identical across the two passes (per-run virtual clocks — concurrency
 /// cannot perturb the cost model). Returns (serial, concurrent) walls for
 /// the --assert-streams tripwire.
-std::pair<double, double> run_stream_cases(std::vector<Record>& records) {
+/// Median of a non-empty sample.
+double median_of(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+constexpr int kStreamPairs = 5;
+
+/// Serial vs concurrent serving of the mixed-tenant request mix; returns
+/// the median over kStreamPairs interleaved pairs of the concurrent
+/// solves/sec speedup (serial wall / concurrent wall).
+double run_stream_cases(std::vector<Record>& records) {
   // p = 8 on purpose: stream overlap pays when one run cannot keep the
   // host cores busy by itself. A small-p iterative solve is exactly that
   // — its dependency chain leaves workers idle between panels — so the
@@ -657,93 +678,210 @@ std::pair<double, double> run_stream_cases(std::vector<Record>& records) {
     }
   };
 
+  // One concurrent pass through a fresh StreamPool; returns the most
+  // streams it had in flight.
+  const auto serve_concurrent = [&](std::vector<la::Matrix>& xs,
+                                    std::vector<sim::Cost>& costs,
+                                    std::vector<double>& criticals) {
+    api::StreamPool pool;
+    std::vector<int> pool_tenant(static_cast<std::size_t>(tenants), -1);
+    for (int t = 0; t < tenants; ++t)
+      pool_tenant[static_cast<std::size_t>(t)] =
+          pool.add_tenant(*ctxs[static_cast<std::size_t>(t)]);
+    std::vector<int> req_of_id;
+    for (int i = 0; i < items; ++i) {
+      const std::size_t u = static_cast<std::size_t>(i);
+      const int id = pool.submit(pool_tenant[static_cast<std::size_t>(
+                                     reqs[u].tenant)],
+                                 plans[u], hls[u], hbs[u]);
+      if (static_cast<std::size_t>(id) >= req_of_id.size())
+        req_of_id.resize(static_cast<std::size_t>(id) + 1, -1);
+      req_of_id[static_cast<std::size_t>(id)] = i;
+    }
+    for (;;) {
+      const auto batch = pool.wait_some();
+      if (batch.empty()) break;
+      for (const auto& c : batch) {
+        if (c.error) {
+          try {
+            std::rethrow_exception(c.error);
+          } catch (const std::exception& e) {
+            std::cerr << "STREAM FAULT: request " << c.id << ": "
+                      << e.what() << "\n";
+          }
+          std::exit(1);
+        }
+        const std::size_t u = static_cast<std::size_t>(
+            req_of_id[static_cast<std::size_t>(c.id)]);
+        // Downloads of finished solutions overlap the still-running
+        // streams — the serving pattern the stream pool buys.
+        xs[u] = ctxs[static_cast<std::size_t>(reqs[u].tenant)]->download(
+            c.result.x);
+        costs[u] = c.result.algorithm_cost();
+        criticals[u] = c.result.stats.critical_time;
+      }
+    }
+    return pool.max_inflight();
+  };
+
   // Untimed warmup pass: first-touch allocation, code paths, and the
-  // plan-cache state are identical ahead of both timed passes (each
+  // plan-cache state are identical ahead of every timed pass (each
   // request has its own L, so no diagonal-inverse reuse either way).
   serve_serial(nullptr, nullptr, nullptr);
 
-  std::vector<la::Matrix> xs_serial(static_cast<std::size_t>(items));
-  std::vector<sim::Cost> costs_serial(static_cast<std::size_t>(items));
-  std::vector<double> crit_serial(static_cast<std::size_t>(items));
-  const auto t0 = Clock::now();
-  serve_serial(&xs_serial, &costs_serial, &crit_serial);
-  const double wall_serial = ms_since(t0);
+  // Interleaved serial/concurrent pairs. One pair is one sample of a
+  // noisy ratio (a 4-core box has measured 1.02x on one pair and 1.14x to
+  // 1.18x on others), so the gate reads the median of the paired ratios;
+  // every pair is still checked bitwise and for modeled drift.
+  const std::size_t n_items = static_cast<std::size_t>(items);
+  std::vector<la::Matrix> xs_serial(n_items), xs_conc(n_items);
+  std::vector<sim::Cost> costs_serial(n_items), costs_conc(n_items);
+  std::vector<double> crit_serial(n_items), crit_conc(n_items);
+  std::vector<double> walls_serial, walls_conc, ratios;
+  int inflight = 0;
+  for (int pair = 0; pair < kStreamPairs; ++pair) {
+    const auto t0 = Clock::now();
+    serve_serial(&xs_serial, &costs_serial, &crit_serial);
+    walls_serial.push_back(ms_since(t0));
+    const auto t1 = Clock::now();
+    inflight = serve_concurrent(xs_conc, costs_conc, crit_conc);
+    walls_conc.push_back(ms_since(t1));
+    ratios.push_back(walls_serial.back() / walls_conc.back());
 
-  std::vector<la::Matrix> xs_conc(static_cast<std::size_t>(items));
-  std::vector<sim::Cost> costs_conc(static_cast<std::size_t>(items));
-  std::vector<double> crit_conc(static_cast<std::size_t>(items));
-  const auto t1 = Clock::now();
-  api::StreamPool pool;
-  std::vector<int> pool_tenant(static_cast<std::size_t>(tenants), -1);
-  for (int t = 0; t < tenants; ++t)
-    pool_tenant[static_cast<std::size_t>(t)] =
-        pool.add_tenant(*ctxs[static_cast<std::size_t>(t)]);
-  std::vector<int> req_of_id;
-  for (int i = 0; i < items; ++i) {
-    const std::size_t u = static_cast<std::size_t>(i);
-    const int id = pool.submit(pool_tenant[static_cast<std::size_t>(
-                                   reqs[u].tenant)],
-                               plans[u], hls[u], hbs[u]);
-    if (static_cast<std::size_t>(id) >= req_of_id.size())
-      req_of_id.resize(static_cast<std::size_t>(id) + 1, -1);
-    req_of_id[static_cast<std::size_t>(id)] = i;
-  }
-  for (;;) {
-    const auto batch = pool.wait_some();
-    if (batch.empty()) break;
-    for (const auto& c : batch) {
-      if (c.error) {
-        try {
-          std::rethrow_exception(c.error);
-        } catch (const std::exception& e) {
-          std::cerr << "STREAM FAULT: request " << c.id << ": " << e.what()
-                    << "\n";
-        }
+    for (std::size_t u = 0; u < n_items; ++u) {
+      if (!xs_conc[u].equals(xs_serial[u])) {
+        std::cerr << "STREAM MISMATCH: pair " << pair << ", request " << u
+                  << " differs bitwise from the serial pass\n";
         std::exit(1);
       }
-      const std::size_t u =
-          static_cast<std::size_t>(req_of_id[static_cast<std::size_t>(c.id)]);
-      // Downloads of finished solutions overlap the still-running
-      // streams — the serving pattern the tentpole buys.
-      xs_conc[u] = ctxs[static_cast<std::size_t>(reqs[u].tenant)]->download(
-          c.result.x);
-      costs_conc[u] = c.result.algorithm_cost();
-      crit_conc[u] = c.result.stats.critical_time;
+      if (costs_conc[u].msgs != costs_serial[u].msgs ||
+          costs_conc[u].words != costs_serial[u].words ||
+          costs_conc[u].flops != costs_serial[u].flops ||
+          crit_conc[u] != crit_serial[u]) {
+        std::cerr << "STREAM MODEL DRIFT: pair " << pair << ", request " << u
+                  << " modeled cost differs between serial and concurrent "
+                     "passes (per-run clocks must make them identical)\n";
+        std::exit(1);
+      }
     }
   }
-  const double wall_conc = ms_since(t1);
-
-  for (int i = 0; i < items; ++i) {
-    const std::size_t u = static_cast<std::size_t>(i);
-    if (!xs_conc[u].equals(xs_serial[u])) {
-      std::cerr << "STREAM MISMATCH: request " << i
-                << " differs bitwise from the serial pass\n";
-      std::exit(1);
-    }
-    if (costs_conc[u].msgs != costs_serial[u].msgs ||
-        costs_conc[u].words != costs_serial[u].words ||
-        costs_conc[u].flops != costs_serial[u].flops ||
-        crit_conc[u] != crit_serial[u]) {
-      std::cerr << "STREAM MODEL DRIFT: request " << i
-                << " modeled cost differs between serial and concurrent "
-                   "passes (per-run clocks must make them identical)\n";
-      std::exit(1);
-    }
-  }
+  const double wall_serial = median_of(walls_serial);
+  const double wall_conc = median_of(walls_conc);
+  const double speedup = median_of(ratios);
 
   records.push_back({"streams/mixed_tenant_serial", p, 96, 48, wall_serial,
                      double(items), costs_serial.front(),
                      crit_serial.front()});
   records.push_back({"streams/mixed_tenant", p, 96, 48, wall_conc,
                      double(items), costs_conc.front(), crit_conc.front()});
-  const double rate_serial = 1e3 * items / wall_serial;
-  const double rate_conc = 1e3 * items / wall_conc;
   std::cout << "streams/mixed_tenant: " << items << " solves, 4 tenants, "
-            << pool.max_inflight() << " streams: " << wall_serial
-            << " ms serial (" << rate_serial << " solves/s) -> " << wall_conc
-            << " ms concurrent (" << rate_conc << " solves/s, "
-            << rate_conc / rate_serial << "x)\n";
-  return {wall_serial, wall_conc};
+            << inflight << " streams, " << kStreamPairs
+            << " pairs: median " << wall_serial << " ms serial -> "
+            << wall_conc << " ms concurrent; solves/s speedup min "
+            << *std::min_element(ratios.begin(), ratios.end()) << "x, median "
+            << speedup << "x, max "
+            << *std::max_element(ratios.begin(), ratios.end()) << "x\n";
+  return speedup;
+}
+
+constexpr int kDistTrials = 9;
+constexpr int kDistReps = 20;
+
+/// One dist/* layer record: `setup(rank)` builds the operands on a rank
+/// and returns the call under test. Each trial times kDistReps calls in
+/// one Machine::run (setup amortized over them); the record carries the
+/// median and the min per-call wall of kDistTrials trials after one
+/// warmup, and the modeled cost of a separate single-call run.
+template <class Setup>
+void run_dist_case(std::vector<Record>& records, const char* name, int p,
+                   index_t n, index_t k, Setup&& setup) {
+  sim::Machine machine(p);
+  const auto run = [&](int reps) {
+    return machine.run([&](sim::Rank& r) {
+      const auto call = setup(r);
+      for (int i = 0; i < reps; ++i) call();
+    });
+  };
+  const sim::RunStats one = run(1);
+  run(kDistReps);
+  std::vector<double> per_call;
+  for (int t = 0; t < kDistTrials; ++t) {
+    const auto t0 = Clock::now();
+    run(kDistReps);
+    per_call.push_back(ms_since(t0) / kDistReps);
+  }
+  Record rec{name,         p,   n, k, median_of(per_call), 1.0,
+             one.max_cost(), one.critical_time};
+  rec.trials = kDistTrials;
+  rec.wall_min_ms = *std::min_element(per_call.begin(), per_call.end());
+  std::cout << name << " (p=" << p << ", " << n << " x " << k
+            << "): median " << rec.wall_ms << " ms, min " << rec.wall_min_ms
+            << " ms per call over " << kDistTrials << " trials\n";
+  records.push_back(std::move(rec));
+}
+
+/// The dist layer at the spd_pipeline request's shapes (n = 256, k = 32,
+/// p = 16, a 4 x 4 factor face): the backward solve's transpose and
+/// reverse_both of L and reverse_rows of the panel on the it-inv B face,
+/// plus the diagonal inverter's 5-rank tri-inv subgrid (86 x 86 blocks
+/// on a 1 x 5 face: redistribute of a 43 x 43 half onto a 2-rank half,
+/// and collect). dist/collect at p = 16 is the full-matrix allgather of
+/// the factor.
+void run_dist_cases(std::vector<Record>& records) {
+  const auto value = [](index_t i, index_t j) {
+    return static_cast<double>(i * 1000 + j);
+  };
+  // A cyclic n x k operand on a pr x pc face over the whole world.
+  const auto cyclic_src = [&](sim::Rank& r, int pr, int pc, index_t n,
+                              index_t k) {
+    auto d = dist::cyclic_on(dist::Face2D(sim::Comm::world(r), pr, pc), n, k);
+    auto m = std::make_shared<dist::DistMatrix>(d, r.id());
+    m->fill(value);
+    return m;
+  };
+  run_dist_case(records, "dist/transpose", 16, 256, 256, [&](sim::Rank& r) {
+    auto src = cyclic_src(r, 4, 4, 256, 256);
+    return [src, world = sim::Comm::world(r)] {
+      (void)dist::transpose(*src, src->dist_ptr(), world);
+    };
+  });
+  run_dist_case(records, "dist/reverse_both", 16, 256, 256,
+                [&](sim::Rank& r) {
+                  auto src = cyclic_src(r, 4, 4, 256, 256);
+                  return [src, world = sim::Comm::world(r)] {
+                    (void)dist::reverse_both(*src, src->dist_ptr(), world);
+                  };
+                });
+  run_dist_case(records, "dist/reverse_rows", 16, 256, 32, [&](sim::Rank& r) {
+    sim::Comm world = sim::Comm::world(r);
+    auto src = std::make_shared<dist::DistMatrix>(
+        trsm::it_inv_b_dist(world, 4, 1, 256, 32), r.id());
+    src->fill(value);
+    return [src, world] {
+      (void)dist::reverse_rows(*src, src->dist_ptr(), world);
+    };
+  });
+  run_dist_case(records, "dist/collect", 16, 256, 256, [&](sim::Rank& r) {
+    auto src = cyclic_src(r, 4, 4, 256, 256);
+    return [src, world = sim::Comm::world(r)] {
+      (void)dist::collect(*src, world);
+    };
+  });
+  run_dist_case(records, "dist/redistribute", 5, 43, 43, [&](sim::Rank& r) {
+    sim::Comm world = sim::Comm::world(r);
+    auto src = cyclic_src(r, 1, 5, 43, 43);
+    auto half = dist::cyclic_on(
+        dist::Face2D(sim::Comm(r, {0, 1}), 1, 2), 43, 43);
+    return [src, half, world] {
+      (void)dist::redistribute(*src, half, world);
+    };
+  });
+  run_dist_case(records, "dist/collect", 5, 86, 86, [&](sim::Rank& r) {
+    auto src = cyclic_src(r, 1, 5, 86, 86);
+    return [src, world = sim::Comm::world(r)] {
+      (void)dist::collect(*src, world);
+    };
+  });
 }
 
 }  // namespace
@@ -795,7 +933,8 @@ int main(int argc, char** argv) {
   run_oracle_cases(records);
   // Appended LAST so every pre-existing record keeps its position (and
   // its modeled fields byte-identical) in the committed JSON.
-  const auto [streams_serial, streams_conc] = run_stream_cases(records);
+  const double streams_speedup = run_stream_cases(records);
+  run_dist_cases(records);
 
   std::string out = "[\n";
   for (std::size_t i = 0; i < records.size(); ++i)
@@ -819,11 +958,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Concurrent streams must beat the serial loop in solves/sec by at
-  // least 1.05x, i.e. finish the same mix in under wall/1.05.
-  if (assert_streams && streams_conc * 1.05 > streams_serial) {
-    std::cerr << "STREAMS REGRESSION: streams/mixed_tenant took "
-              << streams_conc << " ms concurrent vs " << streams_serial
-              << " ms serial (need >= 1.05x solves/sec)\n";
+  // least 1.05x in the median of the paired ratios.
+  if (assert_streams && streams_speedup < 1.05) {
+    std::cerr << "STREAMS REGRESSION: streams/mixed_tenant median speedup "
+              << streams_speedup << "x over " << kStreamPairs
+              << " serial/concurrent pairs (need >= 1.05x solves/sec)\n";
     return 1;
   }
   return 0;

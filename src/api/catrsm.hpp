@@ -409,6 +409,11 @@ class Plan : public std::enable_shared_from_this<Plan> {
   Plan& kernel_plan();
   /// Upload `a` as operand 0, reusing the kept handle when the bytes match.
   DistHandle upload_operand(const la::Matrix& a);
+  /// execute_batch, with the per-panel host residual check only when
+  /// `residuals` is set (a TRSM variant checks its original system
+  /// instead of the kernel plan's normalized one).
+  BatchResult run_batch(const la::Matrix& a, const std::vector<la::Matrix>& bs,
+                        bool residuals);
   /// Launch `prog` — every step runs this plan against inputs[0] — with
   /// the diagonal-inverse cache wired in.
   DistTicket launch(Program& prog, const std::vector<DistHandle>& inputs);

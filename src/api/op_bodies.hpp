@@ -102,8 +102,8 @@ dist::DistMatrix op_body(const OpDesc& desc, const model::Config& cfg,
                          const TrsmBodyOptions& opts);
 
 /// Move rank `me`'s resident block out of the store into a DistMatrix
-/// view under `d` (shape-checked); restore_slot moves it back. Never
-/// copies.
+/// view under `d` (shape-checked; a mismatch throws and leaves the slot
+/// in place); restore_slot moves it back. Never copies or zero-fills.
 dist::DistMatrix load_slot(sim::HandleStore& store, std::uint64_t id,
                            std::shared_ptr<const dist::Distribution> d,
                            int me);

@@ -411,6 +411,11 @@ sim::Cost BatchResult::algorithm_cost() const {
 
 BatchResult Plan::execute_batch(const Matrix& a,
                                 const std::vector<Matrix>& bs) {
+  return run_batch(a, bs, /*residuals=*/true);
+}
+
+BatchResult Plan::run_batch(const Matrix& a, const std::vector<Matrix>& bs,
+                            bool residuals) {
   CATRSM_CHECK(desc_.op == Op::kTrsm || desc_.op == Op::kMatmul3D ||
                    desc_.op == Op::kMatmul2D,
                "execute_batch: batches trsm and matmul panel streams only");
@@ -433,10 +438,13 @@ BatchResult Plan::execute_batch(const Matrix& a,
                    "is k x n)");
       cs.push_back(kernel_rhs(b, f));
     }
-    BatchResult r = kernel_plan().execute_batch(kernel_operand(a, f), cs);
+    BatchResult r = kernel_plan().run_batch(kernel_operand(a, f), cs,
+                                            /*residuals=*/false);
     for (std::size_t i = 0; i < bs.size(); ++i) {
       r.xs[i] = from_kernel(r.xs[i], f);
-      r.residuals[i] = variant_residual(a, r.xs[i], bs[i], desc_.trsm);
+      if (residuals)
+        r.residuals.push_back(
+            variant_residual(a, r.xs[i], bs[i], desc_.trsm));
     }
     return r;
   }
@@ -472,11 +480,11 @@ BatchResult Plan::execute_batch(const Matrix& a,
   result.stats = r.stats;
   result.program_stats = prog.stats();
   result.xs.reserve(bs.size());
-  result.residuals.reserve(bs.size());
   for (std::size_t i = 0; i < bs.size(); ++i) {
     Matrix x = ctx_->download_on(r.outputs[i], dx);
-    result.residuals.push_back(is_trsm ? la::trsm_residual(a, x, bs[i])
-                                       : 0.0);
+    if (residuals)
+      result.residuals.push_back(is_trsm ? la::trsm_residual(a, x, bs[i])
+                                         : 0.0);
     result.xs.push_back(std::move(x));
   }
   return result;

@@ -6,6 +6,22 @@ namespace catrsm::dist {
 
 DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me)
     : dist_(std::move(d)), me_(me) {
+  init_indices();
+  local_ = la::Matrix(static_cast<index_t>(my_rows_.size()),
+                      static_cast<index_t>(my_cols_.size()));
+}
+
+DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me,
+                       la::Matrix&& local)
+    : dist_(std::move(d)), me_(me) {
+  init_indices();
+  CATRSM_CHECK(local.rows() == static_cast<index_t>(my_rows_.size()) &&
+                   local.cols() == static_cast<index_t>(my_cols_.size()),
+               "DistMatrix: adopted block does not match my local shape");
+  local_ = std::move(local);
+}
+
+void DistMatrix::init_indices() {
   CATRSM_CHECK(dist_ != nullptr, "DistMatrix: null distribution");
   const auto parts = dist_->parts_of_world(me_);
   participates_ = parts.has_value();
@@ -13,8 +29,6 @@ DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me)
     my_rows_ = dist_->rows_of_part(parts->first);
     my_cols_ = dist_->cols_of_part(parts->second);
   }
-  local_ = la::Matrix(static_cast<index_t>(my_rows_.size()),
-                      static_cast<index_t>(my_cols_.size()));
 }
 
 void DistMatrix::fill(const std::function<double(index_t, index_t)>& f) {

@@ -23,6 +23,12 @@ class DistMatrix {
   /// local block is allocated (zero-filled) immediately.
   DistMatrix(std::shared_ptr<const Distribution> d, int me);
 
+  /// The same view adopting `local` as my block — no zero-fill, no copy.
+  /// Throws catrsm::Error, leaving `local` untouched, unless its shape is
+  /// exactly my local shape under `d`.
+  DistMatrix(std::shared_ptr<const Distribution> d, int me,
+             la::Matrix&& local);
+
   const Distribution& dist() const { return *dist_; }
   std::shared_ptr<const Distribution> dist_ptr() const { return dist_; }
   int me() const { return me_; }
@@ -49,6 +55,9 @@ class DistMatrix {
   std::vector<index_t> my_rows_;
   std::vector<index_t> my_cols_;
   la::Matrix local_;
+
+  /// Resolve my parts and sorted index lists from dist_ and me_.
+  void init_indices();
 };
 
 }  // namespace catrsm::dist

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <tuple>
+#include <optional>
 #include <utility>
 
 #include "coll/collectives.hpp"
@@ -12,81 +12,108 @@ namespace catrsm::dist {
 
 namespace {
 
-/// Index of `g` within the sorted vector `v` (must be present).
-index_t position_of(const std::vector<index_t>& v, index_t g) {
-  const auto it = std::lower_bound(v.begin(), v.end(), g);
-  CATRSM_ASSERT(it != v.end() && *it == g,
-                "dist: global index not owned by this rank");
-  return static_cast<index_t>(it - v.begin());
+/// The element map every transition here is made of: source (i, j) lands
+/// at (ti, tj) = swap ? (j, i) : (i, j), then each destination axis is
+/// optionally reversed. Separable — a source row index alone decides one
+/// destination coordinate — and an involution for all four callers, so
+/// both sides route with per-axis tables.
+struct IndexMap {
+  bool swap = false;       // transpose the axes
+  bool flip_rows = false;  // reverse the destination rows
+  bool flip_cols = false;  // reverse the destination columns
+};
+
+/// Comm index of every world rank (-1 for non-members), as a dense table.
+std::vector<int> comm_index_of_world(const sim::Comm& comm) {
+  const auto& members = comm.members();
+  const int top = members.empty()
+                      ? 0
+                      : *std::max_element(members.begin(), members.end());
+  std::vector<int> idx(static_cast<std::size_t>(top) + 1, -1);
+  for (int s = 0; s < comm.size(); ++s)
+    idx[static_cast<std::size_t>(members[static_cast<std::size_t>(s)])] = s;
+  return idx;
 }
 
-/// Every owner of `d` must sit inside `comm` for a collective transition.
-void check_owners_inside(const Distribution& d, const sim::Comm& comm,
-                         const char* who) {
-  for (int rp = 0; rp < d.row_parts(); ++rp)
-    for (int cp = 0; cp < d.col_parts(); ++cp)
-      CATRSM_CHECK(comm.index_of_world(d.world_rank_of(rp, cp)) >= 0,
-                   std::string(who) +
-                       ": an owning rank lies outside the communicator");
+/// My positions along one destination axis (`mine`: sorted global
+/// indices), bucketed by the source part of the source index they come
+/// from (`flip`: source index = extent - 1 - destination index), each
+/// bucket ascending in source index — the order every source emits in.
+template <class PartOf>
+std::vector<std::vector<index_t>> positions_by_source_part(
+    const std::vector<index_t>& mine, bool flip, index_t extent, int parts,
+    PartOf&& part_of) {
+  std::vector<std::vector<index_t>> out(static_cast<std::size_t>(parts));
+  const index_t m = static_cast<index_t>(mine.size());
+  for (index_t q = 0; q < m; ++q) {
+    const index_t pos = flip ? m - 1 - q : q;
+    const index_t t = mine[static_cast<std::size_t>(pos)];
+    out[static_cast<std::size_t>(part_of(flip ? extent - 1 - t : t))]
+        .push_back(pos);
+  }
+  return out;
 }
 
-/// Generic element remapping: source element at global (i, j) lands at
-/// dst global map(i, j); `inv` is the inverse mapping. The sender emits
-/// ascending-(i, j) streams per destination; the receiver consumes each
-/// source stream in the same ascending source order, reconstructed from
-/// `inv` — so no indices travel with the data. All outgoing streams pack
-/// into one slab and ship as per-destination views of it (no per-element
-/// push_back growth, no per-destination copies).
+/// Element remapping under `map`. The sender emits ascending-(i, j)
+/// streams per destination, all packed into one slab and shipped as
+/// per-destination views of it; the receiver walks, per source part, its
+/// row and column position lists in ascending source order — so no
+/// indices travel with the data and no per-element sort is needed.
 DistMatrix remap(const DistMatrix& src,
                  std::shared_ptr<const Distribution> dst,
-                 const sim::Comm& comm,
-                 const std::function<std::pair<index_t, index_t>(
-                     index_t, index_t)>& map,
-                 const std::function<std::pair<index_t, index_t>(
-                     index_t, index_t)>& inv,
+                 const sim::Comm& comm, IndexMap map,
                  coll::AlltoallAlgo algo, const char* who) {
-  check_owners_inside(src.dist(), comm, who);
-  check_owners_inside(*dst, comm, who);
+  const OwnerTable src_owner(src.dist(), comm, who);
+  const OwnerTable dst_owner(*dst, comm, who);
   const int g = comm.size();
   const int me = comm.ctx().id();
+  const index_t drows = dst->rows();
+  const index_t dcols = dst->cols();
+  const auto dst_row = [&](index_t s) {
+    return map.flip_rows ? drows - 1 - s : s;
+  };
+  const auto dst_col = [&](index_t s) {
+    return map.flip_cols ? dcols - 1 - s : s;
+  };
 
   std::vector<coll::Buffer> outgoing(static_cast<std::size_t>(g));
   if (src.participates()) {
     const auto& rows = src.my_rows();
     const auto& cols = src.my_cols();
-    // Pass 1: destination comm rank of every local element, and the
-    // per-destination stream lengths.
-    std::vector<int> dest(rows.size() * cols.size());
+    // Destination owner of local element (r, c) is the owner-table entry
+    // row_key[r] + col_key[c]: each source axis fixes one destination
+    // part, scaled by the table's row stride when it is the row part.
+    const int stride = dst_owner.col_parts();
+    std::vector<int> row_key(rows.size());
+    std::vector<int> col_key(cols.size());
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      row_key[r] = map.swap ? dst->part_of_col(dst_col(rows[r]))
+                            : dst->part_of_row(dst_row(rows[r])) * stride;
+    for (std::size_t c = 0; c < cols.size(); ++c)
+      col_key[c] = map.swap ? dst->part_of_row(dst_row(cols[c])) * stride
+                            : dst->part_of_col(dst_col(cols[c]));
+    const auto dest = [&](std::size_t r, std::size_t c) {
+      return dst_owner[row_key[r] + col_key[c]];
+    };
+
     std::vector<std::size_t> counts(static_cast<std::size_t>(g), 0);
-    std::size_t e = 0;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        const auto [ti, tj] = map(rows[r], cols[c]);
-        const int w = dst->world_rank_of(dst->part_of_row(ti),
-                                         dst->part_of_col(tj));
-        const int t = comm.index_of_world(w);
-        dest[e++] = t;
-        ++counts[static_cast<std::size_t>(t)];
-      }
-    }
-    // Pass 2: pack every stream into one slab, ascending (i, j) within
-    // each destination exactly as before.
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      for (std::size_t c = 0; c < cols.size(); ++c)
+        ++counts[static_cast<std::size_t>(dest(r, c))];
     std::vector<std::size_t> cursor(static_cast<std::size_t>(g) + 1, 0);
     for (int t = 0; t < g; ++t)
       cursor[static_cast<std::size_t>(t) + 1] =
           cursor[static_cast<std::size_t>(t)] +
           counts[static_cast<std::size_t>(t)];
     const std::vector<std::size_t> offsets(cursor.begin(), cursor.end() - 1);
-    // Pooled uninitialized slab: the scatter loop below writes every
-    // element exactly once, so the old vector's value-init was a pure
-    // memset of bytes about to be overwritten.
-    coll::Buffer packed = coll::Buffer::uninit(dest.size());
+    // Pooled uninitialized slab: the scatter below writes every element
+    // exactly once, ascending (i, j) within each destination.
+    coll::Buffer packed = coll::Buffer::uninit(rows.size() * cols.size());
     double* slab = packed.mutable_data();
-    e = 0;
+    const double* in = src.local().ptr();
     for (std::size_t r = 0; r < rows.size(); ++r)
       for (std::size_t c = 0; c < cols.size(); ++c)
-        slab[cursor[static_cast<std::size_t>(dest[e++])]++] =
-            src.local()(static_cast<index_t>(r), static_cast<index_t>(c));
+        slab[cursor[static_cast<std::size_t>(dest(r, c))]++] = *in++;
     for (int t = 0; t < g; ++t)
       outgoing[static_cast<std::size_t>(t)] =
           packed.slice(offsets[static_cast<std::size_t>(t)],
@@ -98,28 +125,39 @@ DistMatrix remap(const DistMatrix& src,
 
   DistMatrix out(std::move(dst), me);
   if (out.participates()) {
-    // (source comm rank, source i, source j, my local r, my local c)
-    std::vector<std::tuple<int, index_t, index_t, index_t, index_t>> entries;
-    entries.reserve(out.my_rows().size() * out.my_cols().size());
-    const auto& orows = out.my_rows();
-    const auto& ocols = out.my_cols();
-    for (std::size_t r = 0; r < orows.size(); ++r) {
-      for (std::size_t c = 0; c < ocols.size(); ++c) {
-        const auto [si, sj] = inv(orows[r], ocols[c]);
-        const int w = src.dist().world_rank_of(src.dist().part_of_row(si),
-                                               src.dist().part_of_col(sj));
-        entries.emplace_back(comm.index_of_world(w), si, sj,
-                             static_cast<index_t>(r),
-                             static_cast<index_t>(c));
+    const Distribution& sd = src.dist();
+    // The source-row axis is my row axis, or my column axis under a swap
+    // (and likewise for source columns).
+    const auto& along_i = map.swap ? out.my_cols() : out.my_rows();
+    const auto& along_j = map.swap ? out.my_rows() : out.my_cols();
+    const bool flip_i = map.swap ? map.flip_cols : map.flip_rows;
+    const bool flip_j = map.swap ? map.flip_rows : map.flip_cols;
+    const auto i_lists = positions_by_source_part(
+        along_i, flip_i, sd.rows(), sd.row_parts(),
+        [&](index_t i) { return sd.part_of_row(i); });
+    const auto j_lists = positions_by_source_part(
+        along_j, flip_j, sd.cols(), sd.col_parts(),
+        [&](index_t j) { return sd.part_of_col(j); });
+    double* o = out.local().ptr();
+    const index_t ld = out.local().cols();
+    // Each (row part, col part) pair is one source rank, whose stream is
+    // its elements bound for me in ascending (i, j).
+    for (int rp = 0; rp < sd.row_parts(); ++rp) {
+      const auto& is = i_lists[static_cast<std::size_t>(rp)];
+      if (is.empty()) continue;
+      for (int cp = 0; cp < sd.col_parts(); ++cp) {
+        const auto& js = j_lists[static_cast<std::size_t>(cp)];
+        if (js.empty()) continue;
+        const coll::Buffer& stream =
+            incoming[static_cast<std::size_t>(src_owner.at(rp, cp))];
+        CATRSM_ASSERT(stream.size() == is.size() * js.size(),
+                      std::string(who) +
+                          ": stream length mismatch from a source rank");
+        const double* v = stream.data();
+        for (const index_t a : is)
+          for (const index_t b : js)
+            o[map.swap ? b * ld + a : a * ld + b] = *v++;
       }
-    }
-    std::sort(entries.begin(), entries.end());
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(g), 0);
-    for (const auto& [s, si, sj, r, c] : entries) {
-      auto& cur = cursor[static_cast<std::size_t>(s)];
-      CATRSM_ASSERT(cur < incoming[static_cast<std::size_t>(s)].size(),
-                    std::string(who) + ": short stream from a source rank");
-      out.local()(r, c) = incoming[static_cast<std::size_t>(s)][cur++];
     }
   }
   return out;
@@ -133,7 +171,52 @@ const BlockCyclicDist& as_unit_cyclic(const Distribution& d,
   return *bc;
 }
 
+/// Local position in `mine` (a unit-cyclic rank's sorted globals) of the
+/// sub-block indices {base + sub[k]}: a cyclic sub-block on the same face
+/// holds a consecutive run of them, so checking both ends of the run
+/// checks it all.
+index_t run_start(const std::vector<index_t>& mine, index_t base,
+                  const std::vector<index_t>& sub) {
+  if (sub.empty()) return 0;
+  const std::size_t first = static_cast<std::size_t>(
+      std::lower_bound(mine.begin(), mine.end(), base + sub.front()) -
+      mine.begin());
+  const std::size_t last = first + sub.size() - 1;
+  CATRSM_ASSERT(last < mine.size() && mine[first] == base + sub.front() &&
+                    mine[last] == base + sub.back(),
+                "dist: sub-block index not owned by this rank");
+  return static_cast<index_t>(first);
+}
+
+/// Copy the rows x cols block at (fr, fc) of `from` to (tr, tc) of `to`.
+void copy_block(const la::Matrix& from, index_t fr, index_t fc, la::Matrix& to,
+                index_t tr, index_t tc, index_t rows, index_t cols) {
+  for (index_t r = 0; r < rows; ++r) {
+    const double* src = from.ptr() + (fr + r) * from.cols() + fc;
+    std::copy(src, src + cols, to.ptr() + (tr + r) * to.cols() + tc);
+  }
+}
+
 }  // namespace
+
+OwnerTable::OwnerTable(const Distribution& d, const sim::Comm& comm,
+                       const char* who)
+    : col_parts_(d.col_parts()),
+      owner_(static_cast<std::size_t>(d.row_parts() * d.col_parts())) {
+  const std::vector<int> index_of = comm_index_of_world(comm);
+  for (int rp = 0; rp < d.row_parts(); ++rp) {
+    for (int cp = 0; cp < col_parts_; ++cp) {
+      const int w = d.world_rank_of(rp, cp);
+      const int s = w >= 0 && static_cast<std::size_t>(w) < index_of.size()
+                        ? index_of[static_cast<std::size_t>(w)]
+                        : -1;
+      CATRSM_CHECK(s >= 0, std::string(who) +
+                               ": an owning rank lies outside the "
+                               "communicator");
+      owner_[static_cast<std::size_t>(rp * col_parts_ + cp)] = s;
+    }
+  }
+}
 
 double moved_words(const Distribution& src, const Distribution& dst) {
   CATRSM_CHECK(src.rows() == dst.rows() && src.cols() == dst.cols(),
@@ -175,11 +258,7 @@ DistMatrix redistribute(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "redistribute: global shape mismatch");
-  const auto identity = [](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{i, j};
-  };
-  return remap(src, std::move(dst), comm, identity, identity, algo,
-               "redistribute");
+  return remap(src, std::move(dst), comm, IndexMap{}, algo, "redistribute");
 }
 
 DistMatrix transpose(const DistMatrix& src,
@@ -188,10 +267,8 @@ DistMatrix transpose(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->cols() &&
                    src.dist().cols() == dst->rows(),
                "transpose: destination must be cols x rows of the source");
-  const auto flip = [](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{j, i};
-  };
-  return remap(src, std::move(dst), comm, flip, flip, algo, "transpose");
+  return remap(src, std::move(dst), comm, IndexMap{.swap = true}, algo,
+               "transpose");
 }
 
 DistMatrix reverse_rows(const DistMatrix& src,
@@ -200,11 +277,8 @@ DistMatrix reverse_rows(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "reverse_rows: global shape mismatch");
-  const index_t n = src.dist().rows();
-  const auto rev = [n](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{n - 1 - i, j};
-  };
-  return remap(src, std::move(dst), comm, rev, rev, algo, "reverse_rows");
+  return remap(src, std::move(dst), comm, IndexMap{.flip_rows = true}, algo,
+               "reverse_rows");
 }
 
 DistMatrix reverse_both(const DistMatrix& src,
@@ -213,12 +287,9 @@ DistMatrix reverse_both(const DistMatrix& src,
   CATRSM_CHECK(src.dist().rows() == dst->rows() &&
                    src.dist().cols() == dst->cols(),
                "reverse_both: global shape mismatch");
-  const index_t n = src.dist().rows();
-  const index_t k = src.dist().cols();
-  const auto rev = [n, k](index_t i, index_t j) {
-    return std::pair<index_t, index_t>{n - 1 - i, k - 1 - j};
-  };
-  return remap(src, std::move(dst), comm, rev, rev, algo, "reverse_both");
+  return remap(src, std::move(dst), comm,
+               IndexMap{.flip_rows = true, .flip_cols = true}, algo,
+               "reverse_both");
 }
 
 la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
@@ -229,50 +300,73 @@ la::Matrix gather_region(const Distribution& d, const la::Matrix& local,
                "gather_region: region out of range");
   const int g = comm.size();
 
-  // Per-member in-region index sets, derived identically on every rank.
-  std::vector<std::vector<index_t>> rows_in(static_cast<std::size_t>(g));
-  std::vector<std::vector<index_t>> cols_in(static_cast<std::size_t>(g));
+  // Region rows and columns grouped by part, ascending within a part: one
+  // part lookup per region index, shared by every member.
+  std::vector<std::vector<index_t>> rows_in(
+      static_cast<std::size_t>(d.row_parts()));
+  std::vector<std::vector<index_t>> cols_in(
+      static_cast<std::size_t>(d.col_parts()));
+  for (index_t i = rlo; i < rhi; ++i)
+    rows_in[static_cast<std::size_t>(d.part_of_row(i))].push_back(i);
+  for (index_t j = clo; j < chi; ++j)
+    cols_in[static_cast<std::size_t>(d.part_of_col(j))].push_back(j);
+
+  // Per-member parts and stream lengths, derived identically on every rank.
+  std::vector<std::optional<std::pair<int, int>>> parts_of(
+      static_cast<std::size_t>(g));
   coll::Counts counts(static_cast<std::size_t>(g), 0);
   for (int s = 0; s < g; ++s) {
-    const auto parts = d.parts_of_world(comm.world_rank(s));
-    if (!parts.has_value()) continue;
-    for (index_t i = rlo; i < rhi; ++i)
-      if (d.part_of_row(i) == parts->first)
-        rows_in[static_cast<std::size_t>(s)].push_back(i);
-    for (index_t j = clo; j < chi; ++j)
-      if (d.part_of_col(j) == parts->second)
-        cols_in[static_cast<std::size_t>(s)].push_back(j);
-    counts[static_cast<std::size_t>(s)] =
-        rows_in[static_cast<std::size_t>(s)].size() *
-        cols_in[static_cast<std::size_t>(s)].size();
+    const auto& parts = parts_of[static_cast<std::size_t>(s)] =
+        d.parts_of_world(comm.world_rank(s));
+    if (parts.has_value())
+      counts[static_cast<std::size_t>(s)] =
+          rows_in[static_cast<std::size_t>(parts->first)].size() *
+          cols_in[static_cast<std::size_t>(parts->second)].size();
   }
 
-  // My contribution, read from the (possibly evolved) working copy.
+  // My contribution, read from the (possibly evolved) working copy. My
+  // in-region rows (columns) are consecutive local rows (columns),
+  // starting after those of mine that precede the region.
   coll::Buf mine;
   const int self = comm.rank();
   if (counts[static_cast<std::size_t>(self)] > 0) {
-    const auto parts = d.parts_of_world(me);
-    CATRSM_ASSERT(parts.has_value(), "gather_region: owner mismatch");
-    const std::vector<index_t> all_rows = d.rows_of_part(parts->first);
-    const std::vector<index_t> all_cols = d.cols_of_part(parts->second);
-    mine.reserve(counts[static_cast<std::size_t>(self)]);
-    for (const index_t i : rows_in[static_cast<std::size_t>(self)]) {
-      const index_t lr = position_of(all_rows, i);
-      for (const index_t j : cols_in[static_cast<std::size_t>(self)])
-        mine.push_back(local(lr, position_of(all_cols, j)));
+    CATRSM_ASSERT(comm.world_rank(self) == me,
+                  "gather_region: owner mismatch");
+    const auto [rp, cp] = *parts_of[static_cast<std::size_t>(self)];
+    const auto& ri = rows_in[static_cast<std::size_t>(rp)];
+    const auto& cj = cols_in[static_cast<std::size_t>(cp)];
+    index_t lr0 = 0;
+    for (index_t i = 0; i < rlo; ++i) lr0 += d.part_of_row(i) == rp;
+    index_t lc0 = 0;
+    for (index_t j = 0; j < clo; ++j) lc0 += d.part_of_col(j) == cp;
+    const index_t nr = static_cast<index_t>(ri.size());
+    const index_t nc = static_cast<index_t>(cj.size());
+    CATRSM_ASSERT(lr0 + nr <= local.rows() && lc0 + nc <= local.cols(),
+                  "gather_region: working copy smaller than my block");
+    mine.resize(static_cast<std::size_t>(nr * nc));
+    for (index_t a = 0; a < nr; ++a) {
+      const double* row = local.ptr() + (lr0 + a) * local.cols() + lc0;
+      std::copy(row, row + nc, mine.data() + a * nc);
     }
   }
 
   const coll::Buffer all = coll::allgather(comm, std::move(mine), counts);
 
   la::Matrix out(rhi - rlo, chi - clo);
-  std::size_t pos = 0;
+  double* o = out.ptr();
+  const index_t ld = chi - clo;
+  const double* v = all.data();
   for (int s = 0; s < g; ++s) {
-    for (const index_t i : rows_in[static_cast<std::size_t>(s)])
-      for (const index_t j : cols_in[static_cast<std::size_t>(s)])
-        out(i - rlo, j - clo) = all[pos++];
+    const auto& parts = parts_of[static_cast<std::size_t>(s)];
+    if (!parts.has_value()) continue;
+    const auto& cj = cols_in[static_cast<std::size_t>(parts->second)];
+    for (const index_t i : rows_in[static_cast<std::size_t>(parts->first)]) {
+      double* row = o + (i - rlo) * ld;
+      for (const index_t j : cj) row[j - clo] = *v++;
+    }
   }
-  CATRSM_ASSERT(pos == all.size(), "gather_region: stream size mismatch");
+  CATRSM_ASSERT(v == all.data() + all.size(),
+                "gather_region: stream size mismatch");
   return out;
 }
 
@@ -294,37 +388,25 @@ DistMatrix cyclic_subblock(const DistMatrix& m, index_t i0, index_t j0,
       static_cast<int>((md.rsrc() + i0) % pr),
       static_cast<int>((md.csrc() + j0) % pc));
   DistMatrix sub(std::move(sub_d), m.me());
-  if (sub.participates()) {
-    for (std::size_t r = 0; r < sub.my_rows().size(); ++r) {
-      const index_t pr_idx = position_of(m.my_rows(), i0 + sub.my_rows()[r]);
-      for (std::size_t c = 0; c < sub.my_cols().size(); ++c) {
-        const index_t pc_idx =
-            position_of(m.my_cols(), j0 + sub.my_cols()[c]);
-        sub.local()(static_cast<index_t>(r), static_cast<index_t>(c)) =
-            m.local()(pr_idx, pc_idx);
-      }
-    }
-  }
+  if (sub.participates())
+    copy_block(m.local(), run_start(m.my_rows(), i0, sub.my_rows()),
+               run_start(m.my_cols(), j0, sub.my_cols()), sub.local(), 0, 0,
+               sub.local().rows(), sub.local().cols());
   return sub;
 }
 
 void set_cyclic_subblock(DistMatrix& m, index_t i0, index_t j0,
                          const DistMatrix& sub) {
-  const BlockCyclicDist& md = as_unit_cyclic(m.dist(), "set_cyclic_subblock");
-  (void)md;
+  as_unit_cyclic(m.dist(), "set_cyclic_subblock");
   CATRSM_CHECK(i0 >= 0 && j0 >= 0 &&
                    i0 + sub.dist().rows() <= m.dist().rows() &&
                    j0 + sub.dist().cols() <= m.dist().cols(),
                "set_cyclic_subblock: block out of range");
   if (!sub.participates()) return;
-  for (std::size_t r = 0; r < sub.my_rows().size(); ++r) {
-    const index_t pr_idx = position_of(m.my_rows(), i0 + sub.my_rows()[r]);
-    for (std::size_t c = 0; c < sub.my_cols().size(); ++c) {
-      const index_t pc_idx = position_of(m.my_cols(), j0 + sub.my_cols()[c]);
-      m.local()(pr_idx, pc_idx) =
-          sub.local()(static_cast<index_t>(r), static_cast<index_t>(c));
-    }
-  }
+  copy_block(sub.local(), 0, 0, m.local(),
+             run_start(m.my_rows(), i0, sub.my_rows()),
+             run_start(m.my_cols(), j0, sub.my_cols()), sub.local().rows(),
+             sub.local().cols());
 }
 
 }  // namespace catrsm::dist

@@ -7,17 +7,48 @@
 // descriptors: the sender emits its elements in ascending global order per
 // destination, the receiver consumes each source stream in the same order,
 // and no size or index metadata beyond the all-to-all's own headers ever
-// travels. Ranks outside either distribution's face still participate in
+// travels. The four transitions share one separable element map (an
+// optional axis swap plus an optional reversal of each axis), so the host
+// index math is per axis, not per element: owner tables over the part
+// grid, per-axis part vectors on the send side, and per-source-part
+// position lists on the receive side, walked in ascending source order —
+// O(local block + (rows + cols) * parts) per call, with no sort. Ranks outside either distribution's face still participate in
 // the exchange (with empty payloads), so a matrix can move between
 // disjoint rank subsets of a larger communicator.
 
 #include <memory>
+#include <vector>
 
 #include "coll/alltoall.hpp"
 #include "dist/dist_matrix.hpp"
 #include "sim/cost.hpp"
 
 namespace catrsm::dist {
+
+/// Owner table of a distribution over a communicator: the comm index of
+/// the rank holding each (row part, col part) intersection. Built once per
+/// transition from the part grid (O(parts + comm size)), it replaces a
+/// per-element virtual owner lookup plus a linear rank search with one
+/// array read. Throws catrsm::Error, naming `who`, when an owner lies
+/// outside `comm`.
+class OwnerTable {
+ public:
+  OwnerTable(const Distribution& d, const sim::Comm& comm, const char* who);
+
+  int col_parts() const { return col_parts_; }
+  /// Comm index of the owner of (rpart, cpart).
+  int at(int rpart, int cpart) const {
+    return (*this)[rpart * col_parts_ + cpart];
+  }
+  /// The same, by flat part key rpart * col_parts() + cpart.
+  int operator[](int key) const {
+    return owner_[static_cast<std::size_t>(key)];
+  }
+
+ private:
+  int col_parts_;
+  std::vector<int> owner_;  // row-major over (rpart, cpart)
+};
 
 /// Move `src` into layout `dst` (same global shape). Collective over
 /// `comm`, which must contain every rank of both faces.

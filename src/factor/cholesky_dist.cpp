@@ -49,15 +49,23 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
   const auto& my_rows = a.my_rows();
   const auto& my_cols = a.my_cols();
 
-  auto local_row_of = [&](index_t gr) {
-    return static_cast<index_t>(
-        std::lower_bound(my_rows.begin(), my_rows.end(), gr) -
-        my_rows.begin());
+  // Global -> local position tables (-1: not mine) and the column part
+  // of every global column, built once: the loops below index them
+  // instead of searching my index lists or asking the layout per element.
+  std::vector<index_t> row_pos(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> col_pos(static_cast<std::size_t>(n), -1);
+  for (std::size_t r = 0; r < my_rows.size(); ++r)
+    row_pos[static_cast<std::size_t>(my_rows[r])] = static_cast<index_t>(r);
+  for (std::size_t c = 0; c < my_cols.size(); ++c)
+    col_pos[static_cast<std::size_t>(my_cols[c])] = static_cast<index_t>(c);
+  std::vector<int> col_part(static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n; ++j)
+    col_part[static_cast<std::size_t>(j)] = a.dist().part_of_col(j);
+  const auto local_row_of = [&](index_t gr) {
+    return row_pos[static_cast<std::size_t>(gr)];
   };
-  auto local_col_of = [&](index_t gc) {
-    return static_cast<index_t>(
-        std::lower_bound(my_cols.begin(), my_cols.end(), gc) -
-        my_cols.begin());
+  const auto local_col_of = [&](index_t gc) {
+    return col_pos[static_cast<std::size_t>(gc)];
   };
 
   for (index_t o = 0; o < n; o += nb) {
@@ -71,10 +79,11 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
 
     // Write my piece of the diagonal factor (lower part only).
     for (index_t i = o; i < o + sz; ++i) {
-      if (a.dist().part_of_row(i) != gi) continue;
+      const index_t lr = local_row_of(i);
+      if (lr < 0) continue;
       for (index_t j = o; j <= i; ++j) {
-        if (a.dist().part_of_col(j) != gj) continue;
-        lout.local()(local_row_of(i), local_col_of(j)) = lfact(i - o, j - o);
+        const index_t lc = local_col_of(j);
+        if (lc >= 0) lout.local()(lr, lc) = lfact(i - o, j - o);
       }
     }
     if (o + sz >= n) break;
@@ -91,9 +100,10 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
       // row set but own disjoint column subsets.
       coll::Counts counts(static_cast<std::size_t>(q));
       std::vector<std::vector<index_t>> cols_of(static_cast<std::size_t>(q));
-      for (index_t j = o; j < o + sz; ++j)
-        cols_of[static_cast<std::size_t>(a.dist().part_of_col(j))].push_back(
-            j);
+      for (index_t j = o; j < o + sz; ++j) {
+        const int cp = col_part[static_cast<std::size_t>(j)];
+        cols_of[static_cast<std::size_t>(cp)].push_back(j);
+      }
       for (int w = 0; w < q; ++w)
         counts[static_cast<std::size_t>(w)] =
             cols_of[static_cast<std::size_t>(w)].size() * trail_rows.size();
@@ -123,9 +133,9 @@ DistMatrix cholesky_dist(const DistMatrix& a, const sim::Comm& comm,
     for (std::size_t r = 0; r < trail_rows.size(); ++r) {
       const index_t lr = local_row_of(trail_rows[r]);
       for (index_t j = o; j < o + sz; ++j) {
-        if (a.dist().part_of_col(j) != gj) continue;
-        lout.local()(lr, local_col_of(j)) =
-            apanel(static_cast<index_t>(r), j - o);
+        const index_t lc = local_col_of(j);
+        if (lc >= 0)
+          lout.local()(lr, lc) = apanel(static_cast<index_t>(r), j - o);
       }
     }
 

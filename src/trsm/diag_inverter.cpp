@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "coll/alltoall.hpp"
+#include "dist/redistribute.hpp"
 #include "trsm/tri_inv_dist.hpp"
 #include "support/check.hpp"
 
@@ -61,40 +62,65 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
   if (my_group >= 0)
     for (int b = my_group; b < nblocks; b += ngroups) my_blocks.push_back(b);
 
+  // Owner tables: comm index of every (row part, col part) of L and of
+  // each block's subgrid layout, so the per-element routing below is
+  // array reads (the paper charges this movement as words, not host
+  // rank searches).
+  const dist::OwnerTable l_owner(l.dist(), comm, "diag_inverter");
+  std::vector<dist::OwnerTable> home_owner;
+  home_owner.reserve(homes.size());
+  for (const BlockHome& home : homes)
+    home_owner.emplace_back(*home.dist, comm, "diag_inverter");
+
+  // Range [lo, hi) of positions in the sorted `v` holding [a, b).
+  const auto span_of = [](const std::vector<index_t>& v, index_t a,
+                          index_t b) {
+    return std::pair<std::size_t, std::size_t>{
+        static_cast<std::size_t>(std::lower_bound(v.begin(), v.end(), a) -
+                                 v.begin()),
+        static_cast<std::size_t>(std::lower_bound(v.begin(), v.end(), b) -
+                                 v.begin())};
+  };
+
   // --- Phase 1: one personalized all-to-all ships every diagonal block to
   // its subgrid (paper lines 6 and 9 fused).
   std::vector<coll::Buf> outgoing(static_cast<std::size_t>(p));
   if (l.participates()) {
     const auto& rows = l.my_rows();
     const auto& cols = l.my_cols();
-    for (const BlockHome& home : homes) {
-      const auto r_lo = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset) -
-                        rows.begin();
-      const auto r_hi = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset + home.size) -
-                        rows.begin();
-      const auto c_lo = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset) -
-                        cols.begin();
-      const auto c_hi = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset + home.size) -
-                        cols.begin();
+    std::vector<int> col_part;
+    for (std::size_t b = 0; b < homes.size(); ++b) {
+      const BlockHome& home = homes[b];
+      const auto [r_lo, r_hi] =
+          span_of(rows, home.offset, home.offset + home.size);
+      const auto [c_lo, c_hi] =
+          span_of(cols, home.offset, home.offset + home.size);
+      col_part.clear();
+      for (auto c = c_lo; c < c_hi; ++c)
+        col_part.push_back(home.dist->part_of_col(cols[c] - home.offset));
       for (auto r = r_lo; r < r_hi; ++r) {
-        const index_t bi = rows[static_cast<std::size_t>(r)] - home.offset;
-        const int rp = home.dist->part_of_row(bi);
-        for (auto c = c_lo; c < c_hi; ++c) {
-          const index_t bj = cols[static_cast<std::size_t>(c)] - home.offset;
-          const int w = home.dist->world_rank_of(rp, home.dist->part_of_col(bj));
-          const int t = comm.index_of_world(w);
-          outgoing[static_cast<std::size_t>(t)].push_back(
-              l.local()(static_cast<index_t>(r), static_cast<index_t>(c)));
-        }
+        const int rp = home.dist->part_of_row(rows[r] - home.offset);
+        const double* src =
+            l.local().ptr() + static_cast<index_t>(r) * l.local().cols();
+        for (auto c = c_lo; c < c_hi; ++c)
+          outgoing[static_cast<std::size_t>(
+                       home_owner[b].at(rp, col_part[c - c_lo]))]
+              .push_back(src[c]);
       }
     }
   }
   std::vector<coll::Buffer> incoming =
       coll::alltoallv(comm, std::move(outgoing));
+
+  // Source parts of L along each axis of a block's sub-matrix.
+  const auto l_parts = [&](const DistMatrix& mat, index_t offset) {
+    std::pair<std::vector<int>, std::vector<int>> out;
+    for (const index_t i : mat.my_rows())
+      out.first.push_back(l.dist().part_of_row(offset + i));
+    for (const index_t j : mat.my_cols())
+      out.second.push_back(l.dist().part_of_col(offset + j));
+    return out;
+  };
 
   std::vector<DistMatrix> my_block_mats;
   {
@@ -103,19 +129,15 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
       const BlockHome& home = homes[static_cast<std::size_t>(b)];
       DistMatrix mat(home.dist, me);
       if (mat.participates()) {
-        const auto& rows = mat.my_rows();
-        const auto& cols = mat.my_cols();
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          const int sp = l.dist().part_of_row(home.offset + rows[r]);
-          for (std::size_t c = 0; c < cols.size(); ++c) {
-            const int w = l.dist().world_rank_of(
-                sp, l.dist().part_of_col(home.offset + cols[c]));
-            const int s = comm.index_of_world(w);
-            auto& cur = cursor[static_cast<std::size_t>(s)];
-            CATRSM_ASSERT(cur < incoming[static_cast<std::size_t>(s)].size(),
+        const auto [row_part, col_part] = l_parts(mat, home.offset);
+        double* dst = mat.local().ptr();
+        for (const int rp : row_part) {
+          for (const int cp : col_part) {
+            const std::size_t s =
+                static_cast<std::size_t>(l_owner.at(rp, cp));
+            CATRSM_ASSERT(cursor[s] < incoming[s].size(),
                           "diag_inverter: short scatter stream");
-            mat.local()(static_cast<index_t>(r), static_cast<index_t>(c)) =
-                incoming[static_cast<std::size_t>(s)][cur++];
+            *dst++ = incoming[s][cursor[s]++];
           }
         }
       }
@@ -142,19 +164,12 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
     const DistMatrix& my_inv = my_invs[i];
     if (!my_inv.participates()) continue;
     const BlockHome& home = homes[static_cast<std::size_t>(my_blocks[i])];
-    const auto& rows = my_inv.my_rows();
-    const auto& cols = my_inv.my_cols();
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const int dp = l.dist().part_of_row(home.offset + rows[r]);
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        const int w =
-            l.dist().world_rank_of(dp, l.dist().part_of_col(home.offset +
-                                                            cols[c]));
-        const int t = comm.index_of_world(w);
-        back_out[static_cast<std::size_t>(t)].push_back(
-            my_inv.local()(static_cast<index_t>(r), static_cast<index_t>(c)));
-      }
-    }
+    const auto [row_part, col_part] = l_parts(my_inv, home.offset);
+    const double* src = my_inv.local().ptr();
+    for (const int rp : row_part)
+      for (const int cp : col_part)
+        back_out[static_cast<std::size_t>(l_owner.at(rp, cp))].push_back(
+            *src++);
   }
   std::vector<coll::Buffer> back_in =
       coll::alltoallv(comm, std::move(back_out));
@@ -164,32 +179,26 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
     const auto& rows = ltilde.my_rows();
     const auto& cols = ltilde.my_cols();
     std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
-    for (const BlockHome& home : homes) {
-      const auto r_lo = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset) -
-                        rows.begin();
-      const auto r_hi = std::lower_bound(rows.begin(), rows.end(),
-                                         home.offset + home.size) -
-                        rows.begin();
-      const auto c_lo = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset) -
-                        cols.begin();
-      const auto c_hi = std::lower_bound(cols.begin(), cols.end(),
-                                         home.offset + home.size) -
-                        cols.begin();
+    std::vector<int> col_part;
+    for (std::size_t b = 0; b < homes.size(); ++b) {
+      const BlockHome& home = homes[b];
+      const auto [r_lo, r_hi] =
+          span_of(rows, home.offset, home.offset + home.size);
+      const auto [c_lo, c_hi] =
+          span_of(cols, home.offset, home.offset + home.size);
+      col_part.clear();
+      for (auto c = c_lo; c < c_hi; ++c)
+        col_part.push_back(home.dist->part_of_col(cols[c] - home.offset));
       for (auto r = r_lo; r < r_hi; ++r) {
-        const index_t bi = rows[static_cast<std::size_t>(r)] - home.offset;
-        const int rp = home.dist->part_of_row(bi);
+        const int rp = home.dist->part_of_row(rows[r] - home.offset);
+        double* dst = ltilde.local().ptr() +
+                      static_cast<index_t>(r) * ltilde.local().cols();
         for (auto c = c_lo; c < c_hi; ++c) {
-          const index_t bj = cols[static_cast<std::size_t>(c)] - home.offset;
-          const int w =
-              home.dist->world_rank_of(rp, home.dist->part_of_col(bj));
-          const int s = comm.index_of_world(w);
-          auto& cur = cursor[static_cast<std::size_t>(s)];
-          CATRSM_ASSERT(cur < back_in[static_cast<std::size_t>(s)].size(),
+          const std::size_t s = static_cast<std::size_t>(
+              home_owner[b].at(rp, col_part[c - c_lo]));
+          CATRSM_ASSERT(cursor[s] < back_in[s].size(),
                         "diag_inverter: short gather stream");
-          ltilde.local()(static_cast<index_t>(r), static_cast<index_t>(c)) =
-              back_in[static_cast<std::size_t>(s)][cur++];
+          dst[c] = back_in[s][cursor[s]++];
         }
       }
     }

@@ -124,24 +124,26 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
   // solves against the same L skip the inversion entirely).
   // Phase labels reproduce the paper's Section VII cost decomposition
   // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max.
-  const DistMatrix ltilde = [&] {
+  // A reused Ltilde is read in place, by reference: the store is only
+  // rewritten when no run is reading it, so copying it into a fresh
+  // (zero-filled) block would buy nothing.
+  DistMatrix inverted;
+  const la::Matrix& ltilde = [&]() -> const la::Matrix& {
     if (opts.ltilde_store != nullptr && opts.reuse_ltilde) {
-      DistMatrix lt(l.dist_ptr(), ctx.id());
-      if (lt.participates()) {
-        const la::Matrix& stored =
-            (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())];
-        CATRSM_CHECK(stored.rows() == lt.local().rows() &&
-                         stored.cols() == lt.local().cols(),
-                     "it_inv_trsm: stored ltilde shape mismatch");
-        lt.local() = stored;
-      }
-      return lt;
+      const la::Matrix& stored =
+          (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())];
+      CATRSM_CHECK(!l.participates() ||
+                       (stored.rows() == l.local().rows() &&
+                        stored.cols() == l.local().cols()),
+                   "it_inv_trsm: stored ltilde shape mismatch");
+      return stored;
     }
     sim::PhaseScope scope(ctx, "inversion");
-    DistMatrix lt = diag_inverter(l, comm, nblocks, opts.diag);
+    inverted = diag_inverter(l, comm, nblocks, opts.diag);
     if (opts.ltilde_store != nullptr)
-      (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())] = lt.local();
-    return lt;
+      (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())] =
+          inverted.local();
+    return inverted.local();
   }();
 
   // --- Panel geometry.
@@ -201,13 +203,13 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
     const index_t pc = cy1 - cy0;
     sim::Buffer mine;
     if (z == 0) {
-      CATRSM_ASSERT(ltilde.participates(),
+      CATRSM_ASSERT(l.participates(),
                     "it_inv_trsm: front face must own ltilde");
-      const Matrix& lt = ltilde.local();
       mine = sim::Buffer::uninit(static_cast<std::size_t>(pr * pc));
       double* dst = mine.mutable_data();
       for (index_t r = 0; r < pr; ++r)
-        std::memcpy(dst + r * pc, lt.ptr() + (rx0 + r) * lt.cols() + cy0,
+        std::memcpy(dst + r * pc,
+                    ltilde.ptr() + (rx0 + r) * ltilde.cols() + cy0,
                     static_cast<std::size_t>(pc) * sizeof(double));
     }
     coll::Buffer out = coll::bcast(zf, /*root=*/0, std::move(mine),
@@ -301,15 +303,10 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
     ctx.charge_flops(static_cast<double>(corr_t.rows * kz));
   }
 
-  // --- The y = 0 plane holds the solution in B's layout.
-  DistMatrix xout(b.dist_ptr(), ctx.id());
-  if (xout.participates()) {
-    CATRSM_ASSERT(xout.local().rows() == x_panel.rows() &&
-                      xout.local().cols() == x_panel.cols(),
-                  "it_inv_trsm: output shape mismatch");
-    xout.local() = std::move(x_panel);
-  }
-  return xout;
+  // --- The y = 0 plane holds the solution in B's layout (adopted, so
+  // the shape is checked and nothing is zero-filled or copied).
+  if (!b.participates()) return DistMatrix(b.dist_ptr(), ctx.id());
+  return DistMatrix(b.dist_ptr(), ctx.id(), std::move(x_panel));
 }
 
 }  // namespace catrsm::trsm

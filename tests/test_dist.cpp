@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <functional>
+#include <map>
+#include <string>
 
 #include "dist/dist_matrix.hpp"
 #include "dist/grid.hpp"
@@ -304,6 +308,221 @@ TEST(Redistribute, ShapeMismatchThrows) {
         (void)redistribute(src, b, world);
       }),
       Error);
+}
+
+TEST(DistMatrix, AdoptingConstructorTakesTheBlockWithoutCopying) {
+  Machine m(4);
+  m.run([](Rank& r) {
+    Face2D face(Comm::world(r), 2, 2);
+    auto d = std::make_shared<BlockCyclicDist>(face, 7, 5, 2, 1);
+    const auto [lr, lc] = d->local_shape(r.id());
+    Matrix block(lr, lc);
+    if (block.size() > 0) block(0, 0) = 4.0;
+    const double* storage = block.ptr();
+    const DistMatrix dm(d, r.id(), std::move(block));
+    EXPECT_EQ(dm.local().ptr(), storage);
+    EXPECT_EQ(dm.my_rows().size(), static_cast<std::size_t>(lr));
+
+    // A block of the wrong shape is rejected and left as it was.
+    Matrix wrong(lr + 1, lc);
+    wrong(0, 0) = 9.0;
+    EXPECT_THROW(DistMatrix(d, r.id(), std::move(wrong)), Error);
+    EXPECT_EQ(wrong.rows(), lr + 1);
+    EXPECT_EQ(wrong(0, 0), 9.0);
+  });
+}
+
+// --- Seeded property test of the four layout transitions ------------------
+//
+// Every transition moves each element exactly once, so its result must be
+// the host-side transform of the source, bit for bit, on every rank. The
+// per-rank modeled msgs/words are pinned too: the message streams (their
+// lengths, and hence the Bruck/Direct schedules) must not change.
+
+enum class Transition { kRedistribute, kTranspose, kReverseRows, kReverseBoth };
+
+constexpr std::array<Transition, 4> kTransitions = {
+    Transition::kRedistribute, Transition::kTranspose,
+    Transition::kReverseRows, Transition::kReverseBoth};
+
+const char* transition_name(Transition t) {
+  switch (t) {
+    case Transition::kRedistribute:
+      return "redistribute";
+    case Transition::kTranspose:
+      return "transpose";
+    case Transition::kReverseRows:
+      return "reverse_rows";
+    case Transition::kReverseBoth:
+      return "reverse_both";
+  }
+  return "?";
+}
+
+Matrix host_transition(Transition t, const Matrix& a) {
+  if (t == Transition::kRedistribute) return a;
+  if (t == Transition::kTranspose) return a.transposed();
+  Matrix out(a.rows(), a.cols());
+  for (index_t i = 0; i < a.rows(); ++i)
+    for (index_t j = 0; j < a.cols(); ++j)
+      out(i, j) = t == Transition::kReverseRows
+                      ? a(a.rows() - 1 - i, j)
+                      : a(a.rows() - 1 - i, a.cols() - 1 - j);
+  return out;
+}
+
+DistMatrix run_transition(Transition t, const DistMatrix& src,
+                          std::shared_ptr<const Distribution> dst,
+                          const Comm& comm, coll::AlltoallAlgo algo) {
+  switch (t) {
+    case Transition::kRedistribute:
+      return redistribute(src, std::move(dst), comm, algo);
+    case Transition::kTranspose:
+      return transpose(src, std::move(dst), comm, algo);
+    case Transition::kReverseRows:
+      return reverse_rows(src, std::move(dst), comm, algo);
+    case Transition::kReverseBoth:
+      return reverse_both(src, std::move(dst), comm, algo);
+  }
+  return {};
+}
+
+using LayoutFn = std::function<std::shared_ptr<const Distribution>(
+    const Comm& world, index_t rows, index_t cols)>;
+
+struct TransitionCase {
+  const char* name;
+  int p;
+  index_t rows, cols;
+  LayoutFn src, dst;
+};
+
+std::vector<TransitionCase> transition_cases() {
+  return {
+      // br/bc > 1 with nonzero source-part shifts on both sides.
+      {"block_cyclic_shifted", 6, 11, 13,
+       [](const Comm& w, index_t r, index_t c) {
+         return std::make_shared<BlockCyclicDist>(Face2D(w, 2, 3), r, c, 2,
+                                                  3, 1, 2);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return std::make_shared<BlockCyclicDist>(Face2D(w, 3, 2), r, c, 3,
+                                                  1, 2, 1);
+       }},
+      // The mm3d staging layout into the iterative solver's B layout.
+      {"cyclic3d_to_row_cyclic_col_blocked", 8, 9, 7,
+       [](const Comm& w, index_t r, index_t c) {
+         return std::make_shared<Cyclic3DDist>(ProcGrid3D(w, 2, 2), r, c);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return row_cyclic_col_blocked(Face2D(w, 2, 4), r, c);
+       }},
+      // Fewer rows (and, transposed, columns) than parts: some ranks own
+      // no rows at all.
+      {"ragged_empty_ranks", 8, 3, 10,
+       [](const Comm& w, index_t r, index_t c) {
+         return std::make_shared<BlockCyclicDist>(Face2D(w, 4, 2), r, c, 1,
+                                                  1, 2, 0);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return cyclic_on(Face2D(w, 2, 4), r, c);
+       }},
+      // Disjoint subset faces inside a larger comm; rank 7 owns nothing.
+      {"subset_faces", 8, 7, 6,
+       [](const Comm& w, index_t r, index_t c) {
+         return std::make_shared<BlockCyclicDist>(
+             Face2D(Comm(w.ctx(), {1, 3, 5}), 1, 3), r, c, 1, 2);
+       },
+       [](const Comm& w, index_t r, index_t c) {
+         return cyclic_on(Face2D(Comm(w.ctx(), {0, 2, 4, 6}), 2, 2), r, c);
+       }},
+  };
+}
+
+/// Per-rank "msgs/words" of a run, space-separated.
+std::string per_rank_traffic(const sim::RunStats& stats) {
+  std::string out;
+  char buf[64];
+  for (const sim::Cost& c : stats.per_rank) {
+    std::snprintf(buf, sizeof buf, "%s%g/%g", out.empty() ? "" : " ",
+                  c.msgs, c.words);
+    out += buf;
+  }
+  return out;
+}
+
+// Per-rank msgs/words of every (case, transition, algorithm), as measured
+// on the sort-based remap this engine replaced.
+const std::map<std::string, std::string>& expected_traffic() {
+  static const std::map<std::string, std::string> table = {
+      {"block_cyclic_shifted/redistribute/bruck", "3/59 3/52 3/55 3/48 3/51 3/59"},
+      {"block_cyclic_shifted/redistribute/direct", "5/20 5/26 5/28 5/19 5/25 5/31"},
+      {"block_cyclic_shifted/transpose/bruck", "3/69 3/72 3/63 3/69 3/60 3/39"},
+      {"block_cyclic_shifted/transpose/direct", "5/24 5/33 5/45 5/42 5/39 5/36"},
+      {"block_cyclic_shifted/reverse_rows/bruck", "3/60 3/52 3/54 3/48 3/50 3/59"},
+      {"block_cyclic_shifted/reverse_rows/direct", "5/20 5/27 5/31 5/25 5/25 5/34"},
+      {"block_cyclic_shifted/reverse_both/bruck", "3/60 3/52 3/54 3/48 3/50 3/59"},
+      {"block_cyclic_shifted/reverse_both/direct", "5/20 5/27 5/31 5/25 5/25 5/34"},
+      {"cyclic3d_to_row_cyclic_col_blocked/redistribute/bruck", "3/47 3/44 3/46 3/44 3/47 3/44 3/44 3/44"},
+      {"cyclic3d_to_row_cyclic_col_blocked/redistribute/direct", "7/9 7/6 7/8 7/6 7/8 7/6 7/7 7/6"},
+      {"cyclic3d_to_row_cyclic_col_blocked/transpose/bruck", "3/48 3/59 3/53 3/57 3/48 3/59 3/52 3/54"},
+      {"cyclic3d_to_row_cyclic_col_blocked/transpose/direct", "7/12 7/14 7/18 7/9 7/8 7/14 7/6 7/6"},
+      {"cyclic3d_to_row_cyclic_col_blocked/reverse_rows/bruck", "3/47 3/44 3/46 3/44 3/47 3/44 3/44 3/44"},
+      {"cyclic3d_to_row_cyclic_col_blocked/reverse_rows/direct", "7/9 7/6 7/8 7/6 7/8 7/6 7/7 7/6"},
+      {"cyclic3d_to_row_cyclic_col_blocked/reverse_both/bruck", "3/47 3/44 3/46 3/44 3/47 3/44 3/44 3/44"},
+      {"cyclic3d_to_row_cyclic_col_blocked/reverse_both/direct", "7/9 7/6 7/8 7/6 7/8 7/6 7/7 7/6"},
+      {"ragged_empty_ranks/redistribute/bruck", "3/39 3/39 3/47 3/44 3/44 3/44 3/47 3/39"},
+      {"ragged_empty_ranks/redistribute/direct", "7/5 7/3 7/8 7/8 7/7 7/2 7/5 7/3"},
+      {"ragged_empty_ranks/transpose/bruck", "3/41 3/41 3/46 3/46 3/51 3/41 3/51 3/51"},
+      {"ragged_empty_ranks/transpose/direct", "7/10 7/5 7/10 7/10 7/10 7/5 7/5 7/5"},
+      {"ragged_empty_ranks/reverse_rows/bruck", "3/39 3/39 3/47 3/44 3/44 3/44 3/47 3/39"},
+      {"ragged_empty_ranks/reverse_rows/direct", "7/5 7/3 7/8 7/8 7/7 7/2 7/5 7/3"},
+      {"ragged_empty_ranks/reverse_both/bruck", "3/44 3/43 3/45 3/38 3/39 3/38 3/45 3/43"},
+      {"ragged_empty_ranks/reverse_both/direct", "7/8 7/3 7/5 7/2 7/5 7/2 7/7 7/7"},
+      {"subset_faces/redistribute/bruck", "3/52 3/50 3/64 3/50 3/66 3/50 3/64 3/36"},
+      {"subset_faces/redistribute/direct", "7/12 7/14 7/9 7/14 7/12 7/14 7/9 7/0"},
+      {"subset_faces/transpose/bruck", "3/51 3/50 3/65 3/50 3/65 3/50 3/65 3/36"},
+      {"subset_faces/transpose/direct", "7/12 7/14 7/12 7/14 7/9 7/14 7/9 7/0"},
+      {"subset_faces/reverse_rows/bruck", "3/52 3/50 3/64 3/50 3/66 3/50 3/64 3/36"},
+      {"subset_faces/reverse_rows/direct", "7/12 7/14 7/9 7/14 7/12 7/14 7/9 7/0"},
+      {"subset_faces/reverse_both/bruck", "3/52 3/50 3/64 3/50 3/66 3/50 3/64 3/36"},
+      {"subset_faces/reverse_both/direct", "7/12 7/14 7/9 7/14 7/12 7/14 7/9 7/0"},
+  };
+  return table;
+}
+
+TEST(RemapProperty, BitwiseAgainstHostReferenceWithPinnedTraffic) {
+  std::uint64_t seed = 4242;
+  for (const TransitionCase& tc : transition_cases()) {
+    for (const Transition t : kTransitions) {
+      for (const auto algo :
+           {coll::AlltoallAlgo::kBruck, coll::AlltoallAlgo::kDirect}) {
+        const std::string key =
+            std::string(tc.name) + "/" + transition_name(t) + "/" +
+            (algo == coll::AlltoallAlgo::kBruck ? "bruck" : "direct");
+        SCOPED_TRACE(key);
+        const Matrix a = la::make_dense(++seed, tc.rows, tc.cols);
+        const Matrix want = host_transition(t, a);
+        Machine m(tc.p);
+        const sim::RunStats stats = m.run([&](Rank& r) {
+          const Comm world = Comm::world(r);
+          DistMatrix src(tc.src(world, tc.rows, tc.cols), r.id());
+          src.fill_from_global(a);
+          const DistMatrix got = run_transition(
+              t, src, tc.dst(world, want.rows(), want.cols()), world, algo);
+          for (std::size_t i = 0; i < got.my_rows().size(); ++i)
+            for (std::size_t j = 0; j < got.my_cols().size(); ++j)
+              EXPECT_EQ(got.local()(static_cast<index_t>(i),
+                                    static_cast<index_t>(j)),
+                        want(got.my_rows()[i], got.my_cols()[j]));
+        });
+        const std::string traffic = per_rank_traffic(stats);
+        const auto it = expected_traffic().find(key);
+        ASSERT_NE(it, expected_traffic().end());
+        EXPECT_EQ(traffic, it->second);
+      }
+    }
+  }
 }
 
 }  // namespace

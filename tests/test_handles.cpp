@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "api/catrsm.hpp"
+#include "api/op_bodies.hpp"
 #include "la/gemm.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
@@ -618,6 +620,8 @@ TEST(Programs, FusedBatchSupportsTransposedAndMatmulStreams) {
     Context ctx(p);
     const BatchResult br =
         ctx.plan(trsm_op(n, k, spec))->execute_batch(l, bs);
+    // One residual per panel, of the original (transposed) system.
+    ASSERT_EQ(br.residuals.size(), bs.size());
     for (std::size_t i = 0; i < bs.size(); ++i) {
       const DistHandle hb =
           ref_ctx.upload(bs[i], ref_plan->input_layout(1));
@@ -794,6 +798,74 @@ TEST(Eviction, RunOutputsAndPoisonedEntriesAreNeverEvicted) {
   // repair() is still the (only) way back.
   ctx.repair(hl);
   EXPECT_TRUE(ctx.download(hl).equals(la::make_lower_triangular(821, n)));
+}
+
+TEST(Eviction, AdoptingLoadRejectsAMisshapenSlotAndLeavesItInPlace) {
+  // load_slot adopts the stored block instead of copying it into a
+  // zero-filled one; the shape check must still fire, with the message
+  // that names the likely cause, and must not consume the slot.
+  Context ctx(4);
+  sim::HandleStore& store = ctx.machine().handle_store();
+  const auto d = detail::realize_host(cyclic_layout(2, 2), 8, 8, 4);
+  const std::uint64_t id = store.create();
+  const auto expect_rejected = [&] {
+    try {
+      (void)detail::load_slot(store, id, d, 0);
+      ADD_FAILURE() << "load_slot accepted a misshapen block";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("was the handle ever written?"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected();  // never written: a 0 x 0 slot
+
+  store.local(id, 0) = Matrix(3, 5);
+  store.local(id, 0)(2, 4) = 7.0;
+  expect_rejected();
+  EXPECT_EQ(store.local(id, 0).rows(), 3);
+  EXPECT_EQ(store.local(id, 0)(2, 4), 7.0);
+
+  // The right shape is adopted and restored without a copy.
+  store.local(id, 0) = Matrix(4, 4);
+  const double* storage = store.local(id, 0).ptr();
+  dist::DistMatrix dm = detail::load_slot(store, id, d, 0);
+  EXPECT_EQ(dm.local().ptr(), storage);
+  detail::restore_slot(store, id, dm);
+  EXPECT_EQ(store.local(id, 0).ptr(), storage);
+  store.release(id);
+}
+
+TEST(Eviction, Budget0CholeskyPipelineReuploadsBitwise) {
+  // Under budget 0 both operands of the three-step pipeline are evicted
+  // between requests and re-uploaded into adopted blocks on every run;
+  // the solution must be bitwise the unlimited-budget one each time.
+  const index_t n = 40, k = 8;
+  const Matrix a = la::make_spd(851, n);
+  const Matrix b = la::make_rhs(852, n, k);
+
+  Context ref_ctx(9);
+  auto ref_plan = ref_ctx.plan(cholesky_solve_op(n, k));
+  const Matrix x_ref = ref_ctx.download(
+      ref_plan
+          ->execute_dist(ref_ctx.upload(a, ref_plan->input_layout(0)),
+                         ref_ctx.upload(b, ref_plan->input_layout(1)))
+          .x);
+
+  Context ctx(9);
+  sim::HandleStore& store = ctx.machine().handle_store();
+  auto plan = ctx.plan(cholesky_solve_op(n, k));
+  const DistHandle ha = ctx.upload(a, plan->input_layout(0));
+  const DistHandle hb = ctx.upload(b, plan->input_layout(1));
+  store.set_byte_budget(0);
+  for (int i = 0; i < 2; ++i) {
+    store.evict_to_budget();
+    ASSERT_FALSE(ha.resident());
+    ASSERT_FALSE(hb.resident());
+    const DistExecResult r = plan->execute_dist(ha, hb);
+    EXPECT_TRUE(ctx.download(r.x).equals(x_ref)) << "request " << i;
+  }
+  EXPECT_TRUE(ctx.download(ha).equals(a));
 }
 
 }  // namespace
