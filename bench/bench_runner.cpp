@@ -11,33 +11,38 @@
 //
 // --threads N overrides the kernel pool size for the multi-threaded
 // cases (default: CATRSM_KERNEL_THREADS / hardware_concurrency). The
-// plain kernel/* cases always run single-threaded so their trajectory
-// stays comparable across machines; kernel/gemm_mt sweeps the pool over
-// {1, 2, 4, hw} next to a same-shape single-threaded baseline, and the
-// batch case runs once with the slab pool and once without, so both
-// tentpole wins are committed numbers. Every record carries the
-// detected hardware concurrency, so a committed speedup can always be
-// read against the cores that produced it.
+// plain kernel/* cases (f64 GEMM, TRSM and tri-inv, the whole kernel
+// layer) always run single-threaded so their trajectory stays comparable
+// across machines; kernel/gemm_mt sweeps the pool over {1, 2, 4, hw}
+// next to a same-shape single-threaded baseline, and the batch case runs
+// once with the slab pool and once without, so both tentpole wins are
+// committed numbers. Every record carries the detected hardware
+// concurrency, so a committed speedup can always be read against the
+// cores that produced it.
 //
-// --assert-scaling exits non-zero when the pooled GEMM at n = 1024 is
-// slower than 1.05x the single-threaded wall at the configured pool
-// size — the CI tripwire that keeps the pool from silently regressing
-// to a slowdown again.
+// The three gates below share one noise-aware form: five interleaved
+// (baseline, candidate) pairs, one ratio per pair, the gate reading the
+// median of the five (min, median and max are printed). One pair is one
+// sample of a noisy ratio; the median keeps a single preempted run from
+// flipping the verdict either way.
 //
-// --assert-fusion exits non-zero when the fused batch
-// (batch/it_trsm_32x_p64_fused, the whole panel stream as ONE simulated
-// run) is slower than 1.05x the unfused pooled batch — the same kind of
-// tripwire for the Program-fusion win. Independently of the flag, the
-// fused batch's solutions are always compared bit for bit against the
-// unfused ones and any mismatch fails the run.
+// --assert-scaling exits non-zero when the median paired ratio of the
+// pooled to the single-threaded GEMM wall at n = 1024 (at the configured
+// pool size) exceeds 1.05x — the CI tripwire that keeps the pool from
+// silently regressing to a slowdown again.
 //
-// --assert-streams exits non-zero when, over five interleaved
-// serial/concurrent pairs of streams/mixed_tenant, the median paired
-// ratio of concurrent to serial solves/sec is below 1.05x (min, median
-// and max are printed). Independently of the flag, in every pair each
-// concurrent solution is compared bit for bit against its serial
-// counterpart and every request's modeled cost must be identical across
-// the two passes.
+// --assert-fusion exits non-zero when the median paired ratio of the
+// fused batch (batch/it_trsm_32x_p64_fused, the whole panel stream as
+// ONE simulated run) to the unfused loop of execute calls exceeds 1.05x —
+// the same kind of tripwire for the Program-fusion win. Independently of
+// the flag, in every pair the fused batch's solutions are compared bit
+// for bit against the unfused ones and any mismatch fails the run.
+//
+// --assert-streams exits non-zero when the median paired ratio of
+// concurrent to serial solves/sec of streams/mixed_tenant is below
+// 1.05x. Independently of the flag, in every pair each concurrent
+// solution is compared bit for bit against its serial counterpart and
+// every request's modeled cost must be identical across the two passes.
 
 #include <algorithm>
 #include <chrono>
@@ -57,7 +62,6 @@
 #include "la/generate.hpp"
 #include "la/kernel/kernel.hpp"
 #include "la/kernel/pool.hpp"
-#include "la/mixed.hpp"
 #include "la/norms.hpp"
 #include "la/tri_inv.hpp"
 #include "la/trsm.hpp"
@@ -96,6 +100,31 @@ int hw_concurrency() {
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+/// Median of a non-empty sample.
+double median_of(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+constexpr int kGatePairs = 5;
+
+/// The shared form of the wall-clock gates: kGatePairs interleaved
+/// (baseline, candidate) pairs, each reduced to one ratio by `pair(i)`,
+/// which runs both sides back to back (and may check them). One pair is
+/// one sample of a noisy ratio, so the gate reads the median; min and max
+/// are printed next to it so the spread is on record.
+template <class Pair>
+double median_paired_ratio(const std::string& label, Pair&& pair) {
+  std::vector<double> ratios;
+  for (int i = 0; i < kGatePairs; ++i) ratios.push_back(pair(i));
+  const double median = median_of(ratios);
+  std::cout << label << ": " << kGatePairs << " interleaved pairs, min "
+            << *std::min_element(ratios.begin(), ratios.end())
+            << "x, median " << median << "x, max "
+            << *std::max_element(ratios.begin(), ratios.end()) << "x\n";
+  return median;
 }
 
 void append_json(std::string& out, const Record& r, bool last) {
@@ -175,23 +204,6 @@ void run_kernel_cases(std::vector<Record>& records) {
       push("kernel/tri_inv", n, 0, wall, la::tri_inv_flops(n));
     }
   }
-  // f32 GEMM next to the same-shape f64 numbers above: the committed
-  // ratio IS the datatype-envelope claim (twice the lanes per FMA).
-  for (const index_t n : {512, 1024}) {
-    std::vector<float> a(static_cast<std::size_t>(n) * n);
-    std::vector<float> b(static_cast<std::size_t>(n) * n);
-    std::vector<float> c(static_cast<std::size_t>(n) * n);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      a[i] = 1.0f + static_cast<float>(i % 7) * 0.25f;
-      b[i] = 0.5f - static_cast<float>(i % 5) * 0.125f;
-    }
-    const double wall =
-        bench::median_wall_ms(kKernelWarmups, kKernelReps, [&] {
-          la::kernel::gemm_f32(n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f,
-                               c.data(), n);
-        });
-    push("kernel/gemm_f32", n, n, wall, la::gemm_flops(n, n, n));
-  }
   la::kernel::ThreadPool::set_threads_for_testing(0);
 }
 
@@ -199,15 +211,15 @@ void run_kernel_cases(std::vector<Record>& records) {
 /// pool swept over {1, 2, 4, hw} threads, next to a single-threaded run
 /// of the identical shape, so the committed JSON carries the whole
 /// scaling curve (the `threads` field says what produced each record).
-/// Returns the (st, mt-at-pool_threads) walls at n = 1024 for the
-/// --assert-scaling tripwire.
-std::pair<double, double> run_kernel_mt_cases(std::vector<Record>& records,
-                                              int pool_threads) {
+/// Returns, for the --assert-scaling tripwire, the median paired ratio
+/// of the pool_threads wall to the single-threaded wall at n = 1024
+/// (0 when pool_threads is 1: there is nothing to gate).
+double run_kernel_mt_cases(std::vector<Record>& records, int pool_threads) {
   const std::string backend = la::kernel::backend_name();
   std::vector<int> sweep{1, 2, 4, hw_concurrency(), pool_threads};
   std::sort(sweep.begin(), sweep.end());
   sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
-  std::pair<double, double> at_1024{0.0, 0.0};
+  double scaling_ratio = 0.0;
   for (const index_t n : {512, 1024, 2048}) {
     const la::Matrix a = la::make_dense(21, n, n);
     const la::Matrix b = la::make_dense(22, n, n);
@@ -218,7 +230,6 @@ std::pair<double, double> run_kernel_mt_cases(std::vector<Record>& records,
     const double flops = la::gemm_flops(n, n, n);
     records.push_back({"kernel/gemm_st", 1, n, n, wall_st, 1.0, {}, 0.0,
                        flops / (wall_st * 1e6), backend, 1});
-    if (n == 1024) at_1024.first = wall_st;
     for (const int t : sweep) {
       if (t <= 1) continue;
       la::kernel::ThreadPool::set_threads_for_testing(t);
@@ -226,49 +237,28 @@ std::pair<double, double> run_kernel_mt_cases(std::vector<Record>& records,
           kKernelWarmups, kKernelReps, [&] { la::gemm(1.0, a, b, 0.0, c); });
       records.push_back({"kernel/gemm_mt", 1, n, n, wall_mt, 1.0, {}, 0.0,
                          flops / (wall_mt * 1e6), backend, t});
-      if (n == 1024 && t == pool_threads) at_1024.second = wall_mt;
       std::cout << "kernel/gemm_mt n=" << n << ": " << wall_st << " ms @1 -> "
                 << wall_mt << " ms @" << t << " threads ("
                 << wall_st / wall_mt << "x)\n";
     }
+    if (n == 1024 && pool_threads > 1) {
+      const auto timed = [&](int t) {
+        la::kernel::ThreadPool::set_threads_for_testing(t);
+        const auto t0 = Clock::now();
+        la::gemm(1.0, a, b, 0.0, c);
+        return ms_since(t0);
+      };
+      scaling_ratio = median_paired_ratio(
+          "scaling gate: gemm_mt/gemm_st wall at n=1024, " +
+              std::to_string(pool_threads) + " threads",
+          [&](int) {
+            const double st = timed(1);
+            return timed(pool_threads) / st;
+          });
+    }
     la::kernel::ThreadPool::set_threads_for_testing(0);
   }
-  return at_1024;
-}
-
-/// Mixed-precision refined solve next to the pure-f64 solve on the same
-/// system: the committed pair carries both the wall clocks and — through
-/// the solve-rate `gflops` field, computed from the same f64 flop count —
-/// the honest cost of buying f64-level accuracy out of f32 substitution.
-void run_mixed_cases(std::vector<Record>& records) {
-  la::kernel::ThreadPool::set_threads_for_testing(1);
-  const std::string backend = la::kernel::backend_name();
-  const index_t n = 1024, k = 256;
-  const la::Matrix l = la::make_lower_triangular(31, n);
-  const la::Matrix b = la::make_rhs(32, n, k);
-  la::Matrix x = b;
-  const double wall64 = bench::median_wall_ms(kKernelWarmups, kKernelReps,
-                                              [&] {
-    x = b;
-    la::trsm_left(la::Uplo::kLower, la::Diag::kNonUnit, l, x);
-  });
-  const double res64 = la::trsm_residual(l, x, b);
-  la::RefineStats rs;
-  const double wall_mixed = bench::median_wall_ms(kKernelWarmups, kKernelReps,
-                                                  [&] {
-    x = b;
-    rs = la::trsm_refined(la::Uplo::kLower, la::Diag::kNonUnit, l, x);
-  });
-  const double flops = la::trsm_flops(n, k);
-  records.push_back({"mixed/trsm_f64", 1, n, k, wall64, 1.0, {}, 0.0,
-                     flops / (wall64 * 1e6), backend, 1});
-  records.push_back({"mixed/trsm_refined", 1, n, k, wall_mixed, 1.0, {}, 0.0,
-                     flops / (wall_mixed * 1e6), backend, 1});
-  std::cout << "mixed/trsm_refined n=" << n << " k=" << k << ": " << wall64
-            << " ms f64 (res " << res64 << ") vs " << wall_mixed
-            << " ms refined (res " << rs.residual << ", "
-            << rs.iterations << " refine iters)\n";
-  la::kernel::ThreadPool::set_threads_for_testing(0);
+  return scaling_ratio;
 }
 
 /// E11-style crossover cases: each (n, k) shape under every forced
@@ -303,109 +293,141 @@ void run_crossover_cases(std::vector<Record>& records) {
   }
 }
 
-/// The scenario the zero-copy buffers, persistent scheduler, and slab
-/// pool target: one plan, 32 iterative-TRSM solves at p = 64, executed
-/// as a loop of 32 execute calls (one run per solve, the per-panel
-/// baseline) — once with the slab pool recycling message storage across
-/// runs, once with every payload freshly allocated, so the pooling win is
-/// a committed number. Modeled cost is per solve and must be identical in
-/// both records (allocation strategy cannot perturb the cost model).
-///
-/// Timed as one warmup batch plus the median of 3: a single-shot timing
-/// of a ~1.4 s batch once committed an inversion of the pooled/nopool
-/// ordering (1412 vs 1337 ms) that a rerun inverted right back —
-/// scheduler noise, not a slab regression (see ROADMAP).
-double run_batch_case(std::vector<Record>& records, bool pooled,
-                      std::vector<api::ExecResult>* out_results = nullptr) {
-  const int p = 64;
-  const index_t n = 96, k = 48;
-  const int items = 32;
-  sim::set_slab_pool_enabled(pooled);
-  const la::Matrix l = la::make_lower_triangular(11, n);
-  std::vector<la::Matrix> bs;
-  bs.reserve(items);
-  for (int i = 0; i < items; ++i)
-    bs.push_back(la::make_rhs(100 + static_cast<std::uint64_t>(i), n, k));
+// The scenario the zero-copy buffers, persistent scheduler, slab pool
+// and Program fusion target: one plan, 32 iterative-TRSM solves at
+// p = 64. The whole cold path — fresh Context, plan build, first-solve
+// diag inversion — is inside every timed body: a warm plan cache would
+// both shrink the wall and report the cheap re-solve stats instead of
+// the committed cold-batch cost model.
+constexpr int kBatchP = 64;
+constexpr index_t kBatchN = 96, kBatchK = 48;
+constexpr int kBatchItems = 32;
 
-  // The whole cold path — fresh Context, plan build, first-solve diag
-  // inversion — is inside the timed body: a warm plan cache would both
-  // shrink the wall and report the cheap re-solve stats instead of the
-  // committed cold-batch cost model.
-  std::vector<api::ExecResult> results;
-  api::CacheStats cs;
-  const double wall = bench::median_wall_ms(1, 3, [&] {
-    api::Context ctx(p);
-    api::TrsmSpec spec;
-    spec.force_algorithm = true;
-    spec.algorithm = model::Algorithm::kIterative;
-    auto plan = ctx.plan(api::trsm_op(n, k, spec));
-    results.clear();
-    for (const la::Matrix& b : bs) results.push_back(plan->execute(l, b));
-    cs = ctx.cache_stats();
-  });
-  const std::string name = pooled ? "batch/it_trsm_32x_p64"
-                                  : "batch/it_trsm_32x_p64_nopool";
-  records.push_back({name, p, n, k, wall, double(items),
-                     results.front().algorithm_cost(),
-                     results.front().stats.critical_time});
-  std::cout << name << ": " << wall << " ms for " << items << " solves ("
-            << wall / items << " ms/solve); plan-cache hits=" << cs.hits
-            << " misses=" << cs.misses << " entries=" << cs.entries << "\n";
-  sim::set_slab_pool_enabled(true);
-  if (out_results != nullptr) *out_results = std::move(results);
-  return wall;
+std::shared_ptr<api::Plan> batch_plan(api::Context& ctx) {
+  api::TrsmSpec spec;
+  spec.force_algorithm = true;
+  spec.algorithm = model::Algorithm::kIterative;
+  return ctx.plan(api::trsm_op(kBatchN, kBatchK, spec));
 }
 
-/// The fused form of the same scenario: the whole 32-panel stream as ONE
-/// api::Program in ONE Machine::run — L uploaded once, intermediates
-/// resident in the HandleStore, the diagonal inversion shared across
-/// panels inside the run, one describe-only communicator realization per
-/// layout. Modeled cost is the whole run's algorithm phase (iterations
-/// says it covers all 32 solves). Solutions must match the unfused batch
-/// bit for bit — checked here on every bench run, not just under the
-/// tripwire flag.
-double run_fused_batch_case(std::vector<Record>& records,
-                            const std::vector<api::ExecResult>& unfused) {
-  const int p = 64;
-  const index_t n = 96, k = 48;
-  const int items = 32;
-  const la::Matrix l = la::make_lower_triangular(11, n);
+std::vector<la::Matrix> batch_rhs() {
   std::vector<la::Matrix> bs;
-  bs.reserve(items);
-  for (int i = 0; i < items; ++i)
-    bs.push_back(la::make_rhs(100 + static_cast<std::uint64_t>(i), n, k));
+  bs.reserve(kBatchItems);
+  for (int i = 0; i < kBatchItems; ++i)
+    bs.push_back(
+        la::make_rhs(100 + static_cast<std::uint64_t>(i), kBatchN, kBatchK));
+  return bs;
+}
 
-  api::BatchResult result;
-  api::CacheStats cs;
-  const double wall = bench::median_wall_ms(1, 3, [&] {
-    api::Context ctx(p);
-    api::TrsmSpec spec;
-    spec.force_algorithm = true;
-    spec.algorithm = model::Algorithm::kIterative;
-    auto plan = ctx.plan(api::trsm_op(n, k, spec));
-    result = plan->execute_batch(l, bs);
-    cs = ctx.cache_stats();
-  });
-  records.push_back({"batch/it_trsm_32x_p64_fused", p, n, k, wall,
-                     double(items), result.algorithm_cost(),
-                     result.stats.critical_time});
-  const api::ProgramStats& ps = result.program_stats;
-  std::cout << "batch/it_trsm_32x_p64_fused: " << wall << " ms for " << items
-            << " solves (" << wall / items << " ms/solve); program steps="
-            << ps.steps_executed << " merged=" << ps.nodes_merged
-            << " elided=" << ps.nodes_elided << " redist="
-            << ps.redistributes_inserted << "; plan-cache hits=" << cs.hits
+/// The per-panel baseline: a loop of 32 execute calls, one run each.
+std::vector<api::ExecResult> unfused_batch(const la::Matrix& l,
+                                           const std::vector<la::Matrix>& bs,
+                                           api::CacheStats& cs) {
+  api::Context ctx(kBatchP);
+  auto plan = batch_plan(ctx);
+  std::vector<api::ExecResult> results;
+  for (const la::Matrix& b : bs) results.push_back(plan->execute(l, b));
+  cs = ctx.cache_stats();
+  return results;
+}
+
+/// The fused form: the whole 32-panel stream as ONE api::Program in ONE
+/// Machine::run — L uploaded once, intermediates resident in the
+/// HandleStore, the diagonal inversion shared across panels inside the
+/// run, one describe-only communicator realization per layout.
+api::BatchResult fused_batch(const la::Matrix& l,
+                             const std::vector<la::Matrix>& bs,
+                             api::CacheStats& cs) {
+  api::Context ctx(kBatchP);
+  auto plan = batch_plan(ctx);
+  api::BatchResult result = plan->execute_batch(l, bs);
+  cs = ctx.cache_stats();
+  return result;
+}
+
+void print_batch(const std::string& name, double wall,
+                 const api::CacheStats& cs) {
+  std::cout << name << ": " << wall << " ms for " << kBatchItems
+            << " solves (" << wall / kBatchItems
+            << " ms/solve); plan-cache hits=" << cs.hits
             << " misses=" << cs.misses << " entries=" << cs.entries << "\n";
+}
 
-  for (int i = 0; i < items; ++i) {
-    if (!result.xs[static_cast<std::size_t>(i)].equals(
-            unfused[static_cast<std::size_t>(i)].x)) {
-      std::cerr << "FUSED MISMATCH: panel " << i
-                << " differs bitwise from the unfused batch\n";
-      std::exit(1);
-    }
-  }
-  return wall;
+/// The batch records, in committed order:
+///  - batch/it_trsm_32x_p64: the unfused loop with the slab pool
+///    recycling message storage across runs;
+///  - batch/it_trsm_32x_p64_nopool: the same with every payload freshly
+///    allocated (one warmup + median of 3), so the pooling win is a
+///    committed number — allocation strategy cannot perturb the cost
+///    model, so its modeled fields must equal the pooled record's;
+///  - batch/it_trsm_32x_p64_fused: the fused batch, whose modeled cost
+///    is the whole run's algorithm phase (iterations says it covers all
+///    32 solves).
+/// The unfused and fused batches run as one warmup of each plus
+/// kGatePairs interleaved (unfused, fused) pairs; each record's wall is
+/// the median of its side, and in every pair the fused solutions must
+/// match the unfused ones bit for bit. Returns the median paired
+/// fused/unfused wall ratio for the --assert-fusion tripwire.
+double run_batch_cases(std::vector<Record>& records) {
+  const la::Matrix l = la::make_lower_triangular(11, kBatchN);
+  const std::vector<la::Matrix> bs = batch_rhs();
+  api::CacheStats cs_unfused, cs_fused;
+  std::vector<api::ExecResult> unfused;
+  api::BatchResult fused;
+  const auto wall_of = [](auto&& body) {
+    const auto t0 = Clock::now();
+    body();
+    return ms_since(t0);
+  };
+  (void)unfused_batch(l, bs, cs_unfused);
+  (void)fused_batch(l, bs, cs_fused);
+  std::vector<double> walls_unfused, walls_fused;
+  const double fusion_ratio = median_paired_ratio(
+      "fusion gate: fused/unfused batch wall", [&](int pair) {
+        walls_unfused.push_back(
+            wall_of([&] { unfused = unfused_batch(l, bs, cs_unfused); }));
+        walls_fused.push_back(
+            wall_of([&] { fused = fused_batch(l, bs, cs_fused); }));
+        for (int i = 0; i < kBatchItems; ++i) {
+          const std::size_t u = static_cast<std::size_t>(i);
+          if (!fused.xs[u].equals(unfused[u].x)) {
+            std::cerr << "FUSED MISMATCH: pair " << pair << ", panel " << i
+                      << " differs bitwise from the unfused batch\n";
+            std::exit(1);
+          }
+        }
+        return walls_fused.back() / walls_unfused.back();
+      });
+
+  const double wall_unfused = median_of(walls_unfused);
+  records.push_back({"batch/it_trsm_32x_p64", kBatchP, kBatchN, kBatchK,
+                     wall_unfused, double(kBatchItems),
+                     unfused.front().algorithm_cost(),
+                     unfused.front().stats.critical_time});
+  print_batch(records.back().name, wall_unfused, cs_unfused);
+
+  sim::set_slab_pool_enabled(false);
+  std::vector<api::ExecResult> nopool;
+  api::CacheStats cs_nopool;
+  const double wall_nopool = bench::median_wall_ms(
+      1, 3, [&] { nopool = unfused_batch(l, bs, cs_nopool); });
+  sim::set_slab_pool_enabled(true);
+  records.push_back({"batch/it_trsm_32x_p64_nopool", kBatchP, kBatchN,
+                     kBatchK, wall_nopool, double(kBatchItems),
+                     nopool.front().algorithm_cost(),
+                     nopool.front().stats.critical_time});
+  print_batch(records.back().name, wall_nopool, cs_nopool);
+
+  const double wall_fused = median_of(walls_fused);
+  records.push_back({"batch/it_trsm_32x_p64_fused", kBatchP, kBatchN,
+                     kBatchK, wall_fused, double(kBatchItems),
+                     fused.algorithm_cost(), fused.stats.critical_time});
+  print_batch(records.back().name, wall_fused, cs_fused);
+  const api::ProgramStats& ps = fused.program_stats;
+  std::cout << "  fused program steps=" << ps.steps_executed
+            << " merged=" << ps.nodes_merged << " elided=" << ps.nodes_elided
+            << " redist=" << ps.redistributes_inserted << "\n";
+  return fusion_ratio;
 }
 
 /// The resident-operand form of the same scenario: upload L ONCE, then 32
@@ -416,25 +438,16 @@ double run_fused_batch_case(std::vector<Record>& records,
 /// critical time must be identical to the batch record (same run); the
 /// wall-clock gap is the matrix-in driver's host-side overhead.
 void run_resident_batch_case(std::vector<Record>& records) {
-  const int p = 64;
-  const index_t n = 96, k = 48;
-  const int items = 32;
-  api::Context ctx(p);
-  api::TrsmSpec spec;
-  spec.force_algorithm = true;
-  spec.algorithm = model::Algorithm::kIterative;
-  auto plan = ctx.plan(api::trsm_op(n, k, spec));
-  const la::Matrix l = la::make_lower_triangular(11, n);
-  std::vector<la::Matrix> bs;
-  bs.reserve(items);
-  for (int i = 0; i < items; ++i)
-    bs.push_back(la::make_rhs(100 + static_cast<std::uint64_t>(i), n, k));
+  api::Context ctx(kBatchP);
+  auto plan = batch_plan(ctx);
+  const la::Matrix l = la::make_lower_triangular(11, kBatchN);
+  const std::vector<la::Matrix> bs = batch_rhs();
 
   const auto t0 = Clock::now();
   const api::DistHandle hl = ctx.upload(l, plan->input_layout(0));
   sim::Cost modeled;
   double critical = 0.0;
-  for (int i = 0; i < items; ++i) {
+  for (int i = 0; i < kBatchItems; ++i) {
     const api::DistHandle hb =
         ctx.upload(bs[static_cast<std::size_t>(i)], plan->input_layout(1));
     const api::DistExecResult r = plan->execute_dist(hl, hb);
@@ -445,10 +458,11 @@ void run_resident_batch_case(std::vector<Record>& records) {
     }
   }
   const double wall = ms_since(t0);
-  records.push_back({"resident/it_trsm_32x_p64", p, n, k, wall,
-                     double(items), modeled, critical});
-  std::cout << "resident/it_trsm_32x_p64: " << wall << " ms for " << items
-            << " solves (" << wall / items << " ms/solve)\n";
+  records.push_back({"resident/it_trsm_32x_p64", kBatchP, kBatchN, kBatchK,
+                     wall, double(kBatchItems), modeled, critical});
+  std::cout << "resident/it_trsm_32x_p64: " << wall << " ms for "
+            << kBatchItems << " solves (" << wall / kBatchItems
+            << " ms/solve)\n";
 }
 
 /// The full SPD pipeline as a 3-op program (factor -> solve -> reversed
@@ -589,19 +603,10 @@ void run_oracle_cases(std::vector<Record>& records) {
 /// records; every concurrent solution must match its serial counterpart
 /// bit for bit, and every request's modeled S/W/F + critical time must be
 /// identical across the two passes (per-run virtual clocks — concurrency
-/// cannot perturb the cost model). Returns (serial, concurrent) walls for
-/// the --assert-streams tripwire.
-/// Median of a non-empty sample.
-double median_of(std::vector<double> v) {
-  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-  return v[v.size() / 2];
-}
-
-constexpr int kStreamPairs = 5;
-
-/// Serial vs concurrent serving of the mixed-tenant request mix; returns
-/// the median over kStreamPairs interleaved pairs of the concurrent
-/// solves/sec speedup (serial wall / concurrent wall).
+/// cannot perturb the cost model). Both records carry the median walls of
+/// kGatePairs interleaved serial/concurrent pairs; returns the median
+/// paired solves/sec speedup (serial wall / concurrent wall) for the
+/// --assert-streams tripwire.
 double run_stream_cases(std::vector<Record>& records) {
   // p = 8 on purpose: stream overlap pays when one run cannot keep the
   // host cores busy by itself. A small-p iterative solve is exactly that
@@ -729,45 +734,48 @@ double run_stream_cases(std::vector<Record>& records) {
   // request has its own L, so no diagonal-inverse reuse either way).
   serve_serial(nullptr, nullptr, nullptr);
 
-  // Interleaved serial/concurrent pairs. One pair is one sample of a
-  // noisy ratio (a 4-core box has measured 1.02x on one pair and 1.14x to
-  // 1.18x on others), so the gate reads the median of the paired ratios;
-  // every pair is still checked bitwise and for modeled drift.
+  // Interleaved serial/concurrent pairs (a 4-core box has measured 1.02x
+  // on one pair and 1.14x to 1.18x on others); every pair is checked
+  // bitwise and for modeled drift.
   const std::size_t n_items = static_cast<std::size_t>(items);
   std::vector<la::Matrix> xs_serial(n_items), xs_conc(n_items);
   std::vector<sim::Cost> costs_serial(n_items), costs_conc(n_items);
   std::vector<double> crit_serial(n_items), crit_conc(n_items);
-  std::vector<double> walls_serial, walls_conc, ratios;
+  std::vector<double> walls_serial, walls_conc;
   int inflight = 0;
-  for (int pair = 0; pair < kStreamPairs; ++pair) {
-    const auto t0 = Clock::now();
-    serve_serial(&xs_serial, &costs_serial, &crit_serial);
-    walls_serial.push_back(ms_since(t0));
-    const auto t1 = Clock::now();
-    inflight = serve_concurrent(xs_conc, costs_conc, crit_conc);
-    walls_conc.push_back(ms_since(t1));
-    ratios.push_back(walls_serial.back() / walls_conc.back());
+  const double speedup = median_paired_ratio(
+      "streams gate: serial/concurrent wall (solves/s speedup) of "
+      "streams/mixed_tenant",
+      [&](int pair) {
+        const auto t0 = Clock::now();
+        serve_serial(&xs_serial, &costs_serial, &crit_serial);
+        walls_serial.push_back(ms_since(t0));
+        const auto t1 = Clock::now();
+        inflight = serve_concurrent(xs_conc, costs_conc, crit_conc);
+        walls_conc.push_back(ms_since(t1));
 
-    for (std::size_t u = 0; u < n_items; ++u) {
-      if (!xs_conc[u].equals(xs_serial[u])) {
-        std::cerr << "STREAM MISMATCH: pair " << pair << ", request " << u
-                  << " differs bitwise from the serial pass\n";
-        std::exit(1);
-      }
-      if (costs_conc[u].msgs != costs_serial[u].msgs ||
-          costs_conc[u].words != costs_serial[u].words ||
-          costs_conc[u].flops != costs_serial[u].flops ||
-          crit_conc[u] != crit_serial[u]) {
-        std::cerr << "STREAM MODEL DRIFT: pair " << pair << ", request " << u
-                  << " modeled cost differs between serial and concurrent "
-                     "passes (per-run clocks must make them identical)\n";
-        std::exit(1);
-      }
-    }
-  }
+        for (std::size_t u = 0; u < n_items; ++u) {
+          if (!xs_conc[u].equals(xs_serial[u])) {
+            std::cerr << "STREAM MISMATCH: pair " << pair << ", request "
+                      << u << " differs bitwise from the serial pass\n";
+            std::exit(1);
+          }
+          if (costs_conc[u].msgs != costs_serial[u].msgs ||
+              costs_conc[u].words != costs_serial[u].words ||
+              costs_conc[u].flops != costs_serial[u].flops ||
+              crit_conc[u] != crit_serial[u]) {
+            std::cerr << "STREAM MODEL DRIFT: pair " << pair << ", request "
+                      << u
+                      << " modeled cost differs between serial and "
+                         "concurrent passes (per-run clocks must make them "
+                         "identical)\n";
+            std::exit(1);
+          }
+        }
+        return walls_serial.back() / walls_conc.back();
+      });
   const double wall_serial = median_of(walls_serial);
   const double wall_conc = median_of(walls_conc);
-  const double speedup = median_of(ratios);
 
   records.push_back({"streams/mixed_tenant_serial", p, 96, 48, wall_serial,
                      double(items), costs_serial.front(),
@@ -775,12 +783,8 @@ double run_stream_cases(std::vector<Record>& records) {
   records.push_back({"streams/mixed_tenant", p, 96, 48, wall_conc,
                      double(items), costs_conc.front(), crit_conc.front()});
   std::cout << "streams/mixed_tenant: " << items << " solves, 4 tenants, "
-            << inflight << " streams, " << kStreamPairs
-            << " pairs: median " << wall_serial << " ms serial -> "
-            << wall_conc << " ms concurrent; solves/s speedup min "
-            << *std::min_element(ratios.begin(), ratios.end()) << "x, median "
-            << speedup << "x, max "
-            << *std::max_element(ratios.begin(), ratios.end()) << "x\n";
+            << inflight << " streams: median " << wall_serial
+            << " ms serial -> " << wall_conc << " ms concurrent\n";
   return speedup;
 }
 
@@ -898,7 +902,8 @@ int main(int argc, char** argv) {
       threads_override = i + 1 < argc ? std::atoi(argv[++i]) : 0;
       if (threads_override < 1) {
         std::cerr << "usage: bench_runner [output.json] [--threads N] "
-                     "[--assert-scaling] [--assert-fusion] (N >= 1)\n";
+                     "[--assert-scaling] [--assert-fusion] "
+                     "[--assert-streams] (N >= 1)\n";
         return 2;
       }
     } else if (arg == "--assert-scaling") {
@@ -919,14 +924,9 @@ int main(int argc, char** argv) {
 
   std::vector<Record> records;
   run_kernel_cases(records);
-  const auto [st_1024, mt_1024] = run_kernel_mt_cases(records, pool_threads);
-  run_mixed_cases(records);
+  const double scaling_ratio = run_kernel_mt_cases(records, pool_threads);
   run_crossover_cases(records);
-  std::vector<api::ExecResult> unfused;
-  const double batch_wall = run_batch_case(records, /*pooled=*/true,
-                                           &unfused);
-  run_batch_case(records, /*pooled=*/false);
-  const double fused_wall = run_fused_batch_case(records, unfused);
+  const double fusion_ratio = run_batch_cases(records);
   run_resident_batch_case(records);
   run_program_case(records);
   run_program_opt_cases(records);
@@ -944,24 +944,24 @@ int main(int argc, char** argv) {
   f << out;
   std::cout << "wrote " << records.size() << " records to " << path << "\n";
 
-  if (assert_scaling && pool_threads > 1 && mt_1024 > st_1024 * 1.05) {
-    std::cerr << "SCALING REGRESSION: kernel/gemm_mt at n=1024 took "
-              << mt_1024 << " ms with " << pool_threads
-              << " threads vs " << st_1024
-              << " ms single-threaded (limit: 1.05x)\n";
+  // Each gate reads the median of kGatePairs paired ratios.
+  if (assert_scaling && pool_threads > 1 && scaling_ratio > 1.05) {
+    std::cerr << "SCALING REGRESSION: kernel/gemm_mt at n=1024 with "
+              << pool_threads << " threads took a median " << scaling_ratio
+              << "x the single-threaded wall over " << kGatePairs
+              << " pairs (limit: 1.05x)\n";
     return 1;
   }
-  if (assert_fusion && fused_wall > batch_wall * 1.05) {
-    std::cerr << "FUSION REGRESSION: batch/it_trsm_32x_p64_fused took "
-              << fused_wall << " ms vs " << batch_wall
-              << " ms unfused (limit: 1.05x)\n";
+  if (assert_fusion && fusion_ratio > 1.05) {
+    std::cerr << "FUSION REGRESSION: batch/it_trsm_32x_p64_fused took a "
+                 "median "
+              << fusion_ratio << "x the unfused wall over " << kGatePairs
+              << " pairs (limit: 1.05x)\n";
     return 1;
   }
-  // Concurrent streams must beat the serial loop in solves/sec by at
-  // least 1.05x in the median of the paired ratios.
   if (assert_streams && streams_speedup < 1.05) {
     std::cerr << "STREAMS REGRESSION: streams/mixed_tenant median speedup "
-              << streams_speedup << "x over " << kStreamPairs
+              << streams_speedup << "x over " << kGatePairs
               << " serial/concurrent pairs (need >= 1.05x solves/sec)\n";
     return 1;
   }

@@ -25,9 +25,6 @@ Backend widest_supported() {
   return Backend::kScalar;
 }
 
-/// One backend choice feeds both precisions: every TU registers its f64
-/// and f32 kernels together, so a backend that is usable for one is
-/// usable for the other.
 Backend select() {
   Backend chosen = widest_supported();
   const std::string req = env::string_or("CATRSM_KERNEL", "");
@@ -65,18 +62,6 @@ const MicroKernel* microkernel_for(Backend b) {
   return nullptr;
 }
 
-const MicroKernelF32* microkernel_f32_for(Backend b) {
-  switch (b) {
-    case Backend::kScalar:
-      return scalar_microkernel_f32();
-    case Backend::kAvx2:
-      return avx2_microkernel_f32();
-    case Backend::kAvx512:
-      return avx512_microkernel_f32();
-  }
-  return nullptr;
-}
-
 bool cpu_supports(Backend b) {
   switch (b) {
     case Backend::kScalar:
@@ -96,12 +81,6 @@ bool cpu_supports(Backend b) {
 
 const MicroKernel& active_microkernel() {
   static const MicroKernel* const k = microkernel_for(selected_backend());
-  return *k;
-}
-
-const MicroKernelF32& active_microkernel_f32() {
-  static const MicroKernelF32* const k =
-      microkernel_f32_for(selected_backend());
   return *k;
 }
 

@@ -3,6 +3,7 @@
 
 #include "la/kernel/kernel.hpp"
 #include "la/kernel/pool.hpp"
+#include "support/check.hpp"
 #include "support/env.hpp"
 
 #if defined(__x86_64__)
@@ -13,24 +14,12 @@ namespace catrsm::la::kernel {
 
 namespace {
 
-// Cache blocking per element type: an MC x KC packed panel of A lives in
-// L2 while KC x NC of packed B streams from L3. MC is a common multiple
-// of every backend's MR so full strips dominate; NC likewise for NR. The
-// f32 panels double MC and NC (same byte budget, twice the elements).
-template <class T>
-struct Blocking;
-template <>
-struct Blocking<double> {
-  static constexpr index_t kMc = 144;
-  static constexpr index_t kKc = 256;
-  static constexpr index_t kNc = 1024;
-};
-template <>
-struct Blocking<float> {
-  static constexpr index_t kMc = 288;
-  static constexpr index_t kKc = 256;
-  static constexpr index_t kNc = 2048;
-};
+// Cache blocking: an MC x KC packed panel of A lives in L2 while KC x NC
+// of packed B streams from L3. MC is a common multiple of every backend's
+// MR so full strips dominate; NC likewise for NR.
+constexpr index_t kMc = 144;
+constexpr index_t kKc = 256;
+constexpr index_t kNc = 1024;
 
 // Below this m*n*k the packing and dispatch overhead beats the gain; run a
 // branch-free naive loop instead (identical results up to summation order).
@@ -51,10 +40,11 @@ constexpr double kMtFlopThreshold = 3.0e8;
 // single-K-pass shape, where C is written exactly once and never read.
 constexpr std::size_t kNtAutoBytes = 8u << 20;
 
-// Largest micro-tile any backend uses (f32 AVX-512: 8 x 32); the partial
-// tile scratch is sized once for all of them.
+// Largest micro-tile any backend uses (AVX-512: 8 x 16); the partial
+// tile scratch is sized once for all of them, and gemm_packed rejects a
+// wider tile instead of overflowing it.
 constexpr index_t kMaxMr = 8;
-constexpr index_t kMaxNr = 32;
+constexpr index_t kMaxNr = 16;
 
 std::atomic<int> g_nt_test_mode{-1};
 
@@ -77,10 +67,9 @@ bool nt_policy(std::size_t c_bytes) {
   return c_bytes > kNtAutoBytes;
 }
 
-template <class T>
-bool nt_aligned(const T* c, index_t ldc) {
+bool nt_aligned(const double* c, index_t ldc) {
   return (reinterpret_cast<std::uintptr_t>(c) % 64 == 0) &&
-         ((static_cast<std::size_t>(ldc) * sizeof(T)) % 64 == 0);
+         ((static_cast<std::size_t>(ldc) * sizeof(double)) % 64 == 0);
 }
 
 void store_fence() {
@@ -93,48 +82,46 @@ void store_fence() {
 /// within each strip, alpha folded in; rows past m are zero so the inner
 /// kernel never needs an m-edge branch. Each strip writes a disjoint
 /// k * mr_full range of ap, so strips parallelize freely.
-template <class T>
-void pack_a_strips(const T* a, index_t lda, index_t m, index_t k, T alpha,
-                   index_t mr_full, T* ap, index_t s0, index_t s1) {
+void pack_a_strips(const double* a, index_t lda, index_t m, index_t k,
+                   double alpha, index_t mr_full, double* ap, index_t s0,
+                   index_t s1) {
   for (index_t s = s0; s < s1; ++s) {
     const index_t i0 = s * mr_full;
     const index_t mr = std::min(mr_full, m - i0);
-    T* dst = ap + s * k * mr_full;
+    double* dst = ap + s * k * mr_full;
     for (index_t l = 0; l < k; ++l) {
       for (index_t i = 0; i < mr; ++i)
         dst[l * mr_full + i] = alpha * a[(i0 + i) * lda + l];
-      for (index_t i = mr; i < mr_full; ++i) dst[l * mr_full + i] = T(0);
+      for (index_t i = mr; i < mr_full; ++i) dst[l * mr_full + i] = 0.0;
     }
   }
 }
 
 /// Pack nr-column strips [s0, s1) of B(k x n, stride ldb), row-major
 /// within each strip, zero-padded past n. Disjoint writes per strip (and
-/// strip boundaries land on cache lines: k * nr_full * sizeof(T) is a
-/// multiple of 64 for every backend), so cooperative packing never
+/// strip boundaries land on cache lines: k * nr_full * sizeof(double) is
+/// a multiple of 64 for every backend), so cooperative packing never
 /// false-shares.
-template <class T>
-void pack_b_strips(const T* b, index_t ldb, index_t k, index_t n,
-                   index_t nr_full, T* bp, index_t s0, index_t s1) {
+void pack_b_strips(const double* b, index_t ldb, index_t k, index_t n,
+                   index_t nr_full, double* bp, index_t s0, index_t s1) {
   for (index_t s = s0; s < s1; ++s) {
     const index_t j0 = s * nr_full;
     const index_t nr = std::min(nr_full, n - j0);
-    T* dst = bp + s * k * nr_full;
+    double* dst = bp + s * k * nr_full;
     for (index_t l = 0; l < k; ++l) {
-      const T* brow = b + l * ldb + j0;
+      const double* brow = b + l * ldb + j0;
       for (index_t j = 0; j < nr; ++j) dst[l * nr_full + j] = brow[j];
-      for (index_t j = nr; j < nr_full; ++j) dst[l * nr_full + j] = T(0);
+      for (index_t j = nr; j < nr_full; ++j) dst[l * nr_full + j] = 0.0;
     }
   }
 }
 
-template <class T>
-void apply_beta(T beta, index_t m, index_t n, T* c, index_t ldc) {
-  if (beta == T(1)) return;
+void apply_beta(double beta, index_t m, index_t n, double* c, index_t ldc) {
+  if (beta == 1.0) return;
   for (index_t i = 0; i < m; ++i) {
-    T* crow = c + i * ldc;
-    if (beta == T(0)) {
-      std::fill(crow, crow + n, T(0));
+    double* crow = c + i * ldc;
+    if (beta == 0.0) {
+      std::fill(crow, crow + n, 0.0);
     } else {
       for (index_t j = 0; j < n; ++j) crow[j] *= beta;
     }
@@ -143,14 +130,14 @@ void apply_beta(T beta, index_t m, index_t n, T* c, index_t ldc) {
 
 /// Branch-free i-l-j loop for small products, alpha folded into the A
 /// element (C += alpha * A * B; beta already applied).
-template <class T>
-void gemm_naive(index_t m, index_t n, index_t k, T alpha, const T* a,
-                index_t lda, const T* b, index_t ldb, T* c, index_t ldc) {
+void gemm_naive(index_t m, index_t n, index_t k, double alpha,
+                const double* a, index_t lda, const double* b, index_t ldb,
+                double* c, index_t ldc) {
   for (index_t i = 0; i < m; ++i) {
-    T* crow = c + i * ldc;
+    double* crow = c + i * ldc;
     for (index_t l = 0; l < k; ++l) {
-      const T av = alpha * a[i * lda + l];
-      const T* brow = b + l * ldb;
+      const double av = alpha * a[i * lda + l];
+      const double* brow = b + l * ldb;
       for (index_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
@@ -161,19 +148,18 @@ void gemm_naive(index_t m, index_t n, index_t k, T alpha, const T* a,
 /// values — accumulate adds them to C, assign/stream overwrite C (legal
 /// only on the first K pass of a beta == 0 product, where the old C is
 /// dead).
-template <class T>
-void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
-                 index_t nc, const T* apack, const T* bpack, T* c,
+void macro_strip(const MicroKernel& uk, index_t kc, index_t mc, index_t nc,
+                 const double* apack, const double* bpack, double* c,
                  index_t ldc, index_t jr_strip, Store mode) {
   const index_t mr_full = uk.mr;
   const index_t nr_full = uk.nr;
   const index_t jr = jr_strip * nr_full;
   const index_t nr = std::min(nr_full, nc - jr);
-  const T* bp = bpack + jr * kc;
+  const double* bp = bpack + jr * kc;
   for (index_t ir = 0; ir < mc; ir += mr_full) {
     const index_t mr = std::min(mr_full, mc - ir);
-    const T* ap = apack + ir * kc;
-    T* ct = c + ir * ldc + jr;
+    const double* ap = apack + ir * kc;
+    double* ct = c + ir * ldc + jr;
     if (mr == mr_full && nr == nr_full) {
       switch (mode) {
         case Store::kAccum:
@@ -189,11 +175,11 @@ void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
     } else {
       // Partial tile: compute a full-size local tile (the packed panels
       // are zero-padded) and write back only the live part.
-      alignas(64) T tile[kMaxMr * kMaxNr] = {};
+      alignas(64) double tile[kMaxMr * kMaxNr] = {};
       uk.run(kc, ap, bp, tile, nr_full);
       for (index_t i = 0; i < mr; ++i) {
-        T* crow = ct + i * ldc;
-        const T* trow = tile + i * nr_full;
+        double* crow = ct + i * ldc;
+        const double* trow = tile + i * nr_full;
         if (mode == Store::kAccum) {
           for (index_t j = 0; j < nr; ++j) crow[j] += trow[j];
         } else {
@@ -207,15 +193,14 @@ void macro_strip(const MicroKernelT<T>& uk, index_t kc, index_t mc,
 /// Everything a team participant needs. The B pack buffer is shared (the
 /// master's arena); A panels are per-thread (each participant's own
 /// arena).
-template <class T>
 struct TeamCtx {
-  const MicroKernelT<T>* uk;
+  const MicroKernel* uk;
   index_t m, n, k, lda, ldb, ldc;
-  T alpha;
-  const T* a;
-  const T* b;
-  T* c;
-  T* bpack;
+  double alpha;
+  const double* a;
+  const double* b;
+  double* c;
+  double* bpack;
   bool beta_zero;   // first K pass may overwrite C
   bool stream;      // ... with non-temporal stores
   TeamBarrier* barrier;
@@ -229,15 +214,11 @@ struct TeamCtx {
 /// be complete before anyone consumes it, and fully consumed before
 /// anyone repacks it. Called directly as (0, 1) on the single-threaded
 /// path, so both paths execute literally the same arithmetic.
-template <class T>
 void gemm_team_body(int tid, int nt, void* p) {
-  auto& tc = *static_cast<TeamCtx<T>*>(p);
-  const MicroKernelT<T>& uk = *tc.uk;
+  auto& tc = *static_cast<TeamCtx*>(p);
+  const MicroKernel& uk = *tc.uk;
   const index_t mr_full = uk.mr;
   const index_t nr_full = uk.nr;
-  constexpr index_t kMc = Blocking<T>::kMc;
-  constexpr index_t kKc = Blocking<T>::kKc;
-  constexpr index_t kNc = Blocking<T>::kNc;
 
   // This thread's band of C rows, split on micro-tile boundaries.
   const index_t mstrips = (tc.m + mr_full - 1) / mr_full;
@@ -246,9 +227,9 @@ void gemm_team_body(int tid, int nt, void* p) {
   const index_t band_m = band1 - band0;
 
   // Per-thread A arena (thread-local: workers each get their own).
-  T* apack = nullptr;
+  double* apack = nullptr;
   if (band_m > 0)
-    apack = pack_arena_a().ensure<T>(static_cast<std::size_t>(
+    apack = pack_arena_a().ensure(static_cast<std::size_t>(
         round_up(std::min(kMc, band_m), mr_full) * std::min(kKc, tc.k)));
 
   for (index_t jc = 0; jc < tc.n; jc += kNc) {
@@ -279,13 +260,12 @@ void gemm_team_body(int tid, int nt, void* p) {
   if (tc.stream) store_fence();
 }
 
-template <class T>
-void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
-                 T alpha, const T* a, index_t lda, const T* b, index_t ldb,
-                 T beta, T* c, index_t ldc) {
+void gemm_packed(const MicroKernel& uk, index_t m, index_t n, index_t k,
+                 double alpha, const double* a, index_t lda, const double* b,
+                 index_t ldb, double beta, double* c, index_t ldc) {
+  CATRSM_ASSERT(uk.mr <= kMaxMr && uk.nr <= kMaxNr,
+                "kernel::gemm: micro-tile wider than the partial-tile scratch");
   const index_t nr_full = uk.nr;
-  constexpr index_t kKc = Blocking<T>::kKc;
-  constexpr index_t kNc = Blocking<T>::kNc;
 
   // beta == 0 skips the zero-fill pass entirely: the first K pass of the
   // macro-kernel overwrites C (same values — 0 + x == x for every x an
@@ -294,12 +274,12 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
   // stream path needs the single-pass overwrite, valid on the pc == 0
   // pass regardless of k, but only PAYS when C is not re-read, so it is
   // further gated to k <= KC (one pass total).
-  const bool beta_zero = beta == T(0);
+  const bool beta_zero = beta == 0.0;
   if (!beta_zero) apply_beta(beta, m, n, c, ldc);
   const bool stream =
       beta_zero && k <= kKc && uk.run_nt != nullptr && nt_aligned(c, ldc) &&
       nt_policy(static_cast<std::size_t>(m) * static_cast<std::size_t>(n) *
-                sizeof(T));
+                sizeof(double));
 
   // Packing scratch comes from thread-local arenas: no allocation (and
   // no value-init) per call, 64-byte aligned, reused across calls. Ranks
@@ -308,12 +288,12 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
   // shared by the whole team; workers only receive the pointer through
   // the dispatch (which synchronizes), and every write between barriers
   // is to a disjoint strip.
-  T* bpack = pack_arena_b().ensure<T>(static_cast<std::size_t>(
+  double* bpack = pack_arena_b().ensure(static_cast<std::size_t>(
       std::min(kKc, k) * round_up(std::min(kNc, n), nr_full)));
 
   TeamBarrier barrier;
-  TeamCtx<T> ctx{&uk, m,     n,         k,      lda,    ldb, ldc, alpha,
-                 a,   b,     c,         bpack,  beta_zero, stream, &barrier};
+  TeamCtx ctx{&uk, m,     n,     k,   lda,       ldb,    ldc,     alpha,
+              a,   b,     c,     bpack, beta_zero, stream, &barrier};
 
   ThreadPool& pool = ThreadPool::instance();
   const index_t mstrips = (m + uk.mr - 1) / uk.mr;
@@ -324,18 +304,18 @@ void gemm_packed(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
                                          static_cast<double>(k) >=
                                      kMtFlopThreshold;
   if (fan_out) {
-    pool.run_team(nt, gemm_team_body<T>, &ctx);
+    pool.run_team(nt, gemm_team_body, &ctx);
   } else {
-    gemm_team_body<T>(0, 1, &ctx);
+    gemm_team_body(0, 1, &ctx);
   }
 }
 
-template <class T>
-void gemm_entry(const MicroKernelT<T>& uk, index_t m, index_t n, index_t k,
-                T alpha, const T* a, index_t lda, const T* b, index_t ldb,
-                T beta, T* c, index_t ldc, bool allow_naive) {
+void gemm_entry(const MicroKernel& uk, index_t m, index_t n, index_t k,
+                double alpha, const double* a, index_t lda, const double* b,
+                index_t ldb, double beta, double* c, index_t ldc,
+                bool allow_naive) {
   if (m == 0 || n == 0) return;
-  if (alpha == T(0) || k == 0) {
+  if (alpha == 0.0 || k == 0) {
     apply_beta(beta, m, n, c, ldc);
     return;
   }
@@ -356,23 +336,9 @@ void gemm(index_t m, index_t n, index_t k, double alpha, const double* a,
              ldc, /*allow_naive=*/true);
 }
 
-void gemm_f32(index_t m, index_t n, index_t k, float alpha, const float* a,
-              index_t lda, const float* b, index_t ldb, float beta, float* c,
-              index_t ldc) {
-  gemm_entry(active_microkernel_f32(), m, n, k, alpha, a, lda, b, ldb, beta,
-             c, ldc, /*allow_naive=*/true);
-}
-
 void gemm_with(const MicroKernel& uk, index_t m, index_t n, index_t k,
                double alpha, const double* a, index_t lda, const double* b,
                index_t ldb, double beta, double* c, index_t ldc) {
-  gemm_entry(uk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-             /*allow_naive=*/false);
-}
-
-void gemm_with_f32(const MicroKernelF32& uk, index_t m, index_t n, index_t k,
-                   float alpha, const float* a, index_t lda, const float* b,
-                   index_t ldb, float beta, float* c, index_t ldc) {
   gemm_entry(uk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
              /*allow_naive=*/false);
 }

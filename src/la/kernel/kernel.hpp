@@ -4,11 +4,10 @@
 // The flop substrate of every distributed algorithm in this repo is the
 // sequential la:: routines, and those now bottom out here: a strided GEMM
 // driver packs panels of A and B into contiguous MR- / NR-wide tiles and
-// streams them through a small register-tiled inner kernel. Each backend
-// (portable scalar, AVX2/FMA, AVX-512F) carries BOTH an f64 and an f32
-// inner kernel — the f32 tiles run twice the lanes per FMA, which is what
-// the mixed-precision refinement path (la::trsm_refined) cashes in —
-// selected once per process by CPU detection and overridable with
+// streams them through a small register-tiled inner kernel. The whole
+// layer is double precision, like every algorithm above it. Each backend
+// (portable scalar 4x8, AVX2/FMA 6x8, AVX-512F 8x16) carries one inner
+// kernel, selected once per process by CPU detection and overridable with
 // CATRSM_KERNEL=scalar|avx2|avx512.
 //
 // Large products additionally fan out over a persistent worker pool
@@ -53,37 +52,33 @@ enum class Backend { kScalar, kAvx2, kAvx512 };
 /// uninitialized), used when beta == 0 and the K loop has a single
 /// blocking pass. run_nt is the same with non-temporal stores (bypassing
 /// the cache for a C that would only pollute it); it requires c and ldc
-/// scaled by the element size to be 64-byte aligned and may be null
+/// scaled by sizeof(double) to be 64-byte aligned and may be null
 /// (driver falls back to run_store). All three compute bit-identical
 /// values — only the store instruction differs.
-template <class T>
-struct MicroKernelT {
+struct MicroKernel {
   Backend backend;
   const char* name;
   int mr;
   int nr;
-  void (*run)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
-  void (*run_store)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
-  void (*run_nt)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
+  void (*run)(index_t kc, const double* ap, const double* bp, double* c,
+              index_t ldc);
+  void (*run_store)(index_t kc, const double* ap, const double* bp, double* c,
+                    index_t ldc);
+  void (*run_nt)(index_t kc, const double* ap, const double* bp, double* c,
+                 index_t ldc);
 };
-
-using MicroKernel = MicroKernelT<double>;
-using MicroKernelF32 = MicroKernelT<float>;
 
 /// The micro-kernel the process dispatched to (resolved once, thread-safe).
 /// Order of precedence: CATRSM_KERNEL env var if set and usable, else the
 /// widest ISA the CPU supports. An unusable override warns on stderr and
-/// falls back rather than aborting. Both precisions always dispatch to
-/// the same backend.
+/// falls back rather than aborting.
 const MicroKernel& active_microkernel();
-const MicroKernelF32& active_microkernel_f32();
 Backend active_backend();
 const char* backend_name();
 
 /// Kernel for a specific backend, or nullptr when it was compiled out
 /// (non-x86 build). Does not check CPU support — see cpu_supports().
 const MicroKernel* microkernel_for(Backend b);
-const MicroKernelF32* microkernel_f32_for(Backend b);
 
 /// Whether the running CPU can execute this backend's instructions.
 bool cpu_supports(Backend b);
@@ -97,21 +92,12 @@ void gemm(index_t m, index_t n, index_t k, double alpha, const double* a,
           index_t lda, const double* b, index_t ldb, double beta, double* c,
           index_t ldc);
 
-/// The same contract in single precision (the fast half of the
-/// mixed-precision refinement path).
-void gemm_f32(index_t m, index_t n, index_t k, float alpha, const float* a,
-              index_t lda, const float* b, index_t ldb, float beta, float* c,
-              index_t ldc);
-
 /// Same, forcing a specific micro-kernel and always taking the packed path
-/// (no small-product shortcut). Test hook: lets one process compare the
-/// scalar tile against the dispatched one on every edge shape.
+/// (no small-product shortcut). Test hook: lets one process run every
+/// backend's tile, partial tiles included, on every edge shape.
 void gemm_with(const MicroKernel& uk, index_t m, index_t n, index_t k,
                double alpha, const double* a, index_t lda, const double* b,
                index_t ldb, double beta, double* c, index_t ldc);
-void gemm_with_f32(const MicroKernelF32& uk, index_t m, index_t n, index_t k,
-                   float alpha, const float* a, index_t lda, const float* b,
-                   index_t ldb, float beta, float* c, index_t ldc);
 
 /// Non-temporal-store policy for the beta == 0 single-K-pass fast path:
 /// by default C uses streaming stores when it exceeds a fixed

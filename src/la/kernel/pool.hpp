@@ -112,8 +112,6 @@ class ThreadPool {
 /// and is reused across calls (the packed-panel arena). One per thread
 /// per panel via pack_arena_a / pack_arena_b; simulated ranks are fibers
 /// that never yield inside a kernel call, so thread-locals are safe.
-/// Byte-addressed so the f64 and f32 drivers share the same storage
-/// (their calls never overlap in time on one thread).
 class PackArena {
  public:
   PackArena() = default;
@@ -121,11 +119,10 @@ class PackArena {
   PackArena(const PackArena&) = delete;
   PackArena& operator=(const PackArena&) = delete;
 
-  /// A buffer of at least `count` elements of T, 64-byte aligned,
-  /// contents unspecified. Grows geometrically and never shrinks.
-  template <class T>
-  T* ensure(std::size_t count) {
-    return static_cast<T*>(ensure_bytes(count * sizeof(T)));
+  /// A buffer of at least `count` doubles, 64-byte aligned, contents
+  /// unspecified. Grows geometrically and never shrinks.
+  double* ensure(std::size_t count) {
+    return static_cast<double*>(ensure_bytes(count * sizeof(double)));
   }
 
  private:

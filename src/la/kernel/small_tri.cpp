@@ -2,62 +2,36 @@
 
 namespace catrsm::la::kernel {
 
-namespace {
-
-template <class T>
-void trsm_ll_block_t(const T* t, index_t ldt, T* b, index_t ldb, index_t nb,
-                     index_t k, bool unit) {
+void trsm_ll_block(const double* t, index_t ldt, double* b, index_t ldb,
+                   index_t nb, index_t k, bool unit) {
   for (index_t i = 0; i < nb; ++i) {
-    T* bi = b + i * ldb;
+    double* bi = b + i * ldb;
     for (index_t j = 0; j < i; ++j) {
-      const T lij = t[i * ldt + j];
-      const T* bj = b + j * ldb;
+      const double lij = t[i * ldt + j];
+      const double* bj = b + j * ldb;
       for (index_t c = 0; c < k; ++c) bi[c] -= lij * bj[c];
     }
     if (!unit) {
-      const T inv = T(1) / t[i * ldt + i];
+      const double inv = 1.0 / t[i * ldt + i];
       for (index_t c = 0; c < k; ++c) bi[c] *= inv;
     }
   }
-}
-
-template <class T>
-void trsm_lu_block_t(const T* t, index_t ldt, T* b, index_t ldb, index_t nb,
-                     index_t k, bool unit) {
-  for (index_t i = nb - 1; i >= 0; --i) {
-    T* bi = b + i * ldb;
-    for (index_t j = i + 1; j < nb; ++j) {
-      const T uij = t[i * ldt + j];
-      const T* bj = b + j * ldb;
-      for (index_t c = 0; c < k; ++c) bi[c] -= uij * bj[c];
-    }
-    if (!unit) {
-      const T inv = T(1) / t[i * ldt + i];
-      for (index_t c = 0; c < k; ++c) bi[c] *= inv;
-    }
-  }
-}
-
-}  // namespace
-
-void trsm_ll_block(const double* t, index_t ldt, double* b, index_t ldb,
-                   index_t nb, index_t k, bool unit) {
-  trsm_ll_block_t(t, ldt, b, ldb, nb, k, unit);
 }
 
 void trsm_lu_block(const double* t, index_t ldt, double* b, index_t ldb,
                    index_t nb, index_t k, bool unit) {
-  trsm_lu_block_t(t, ldt, b, ldb, nb, k, unit);
-}
-
-void trsm_ll_block_f32(const float* t, index_t ldt, float* b, index_t ldb,
-                       index_t nb, index_t k, bool unit) {
-  trsm_ll_block_t(t, ldt, b, ldb, nb, k, unit);
-}
-
-void trsm_lu_block_f32(const float* t, index_t ldt, float* b, index_t ldb,
-                       index_t nb, index_t k, bool unit) {
-  trsm_lu_block_t(t, ldt, b, ldb, nb, k, unit);
+  for (index_t i = nb - 1; i >= 0; --i) {
+    double* bi = b + i * ldb;
+    for (index_t j = i + 1; j < nb; ++j) {
+      const double uij = t[i * ldt + j];
+      const double* bj = b + j * ldb;
+      for (index_t c = 0; c < k; ++c) bi[c] -= uij * bj[c];
+    }
+    if (!unit) {
+      const double inv = 1.0 / t[i * ldt + i];
+      for (index_t c = 0; c < k; ++c) bi[c] *= inv;
+    }
+  }
 }
 
 void trsm_ru_block(const double* t, index_t ldt, double* b, index_t ldb,

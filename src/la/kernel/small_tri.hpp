@@ -1,11 +1,11 @@
 #pragma once
-// Strided scalar kernels for small triangular diagonal blocks. The blocked
-// la::trsm / la::trmm / la::tri_inv algorithms resolve all cross-block
-// dependencies through packed GEMM panels (kernel::gemm) and only ever hand
-// these routines one diagonal block at a time, so nb stays at the block
-// size and the O(nb^2 k) substitution work is a small fraction of the
-// total. Inner loops run over the contiguous RHS dimension with no
-// data-dependent branches, so they auto-vectorize.
+// Strided scalar f64 kernels for small triangular diagonal blocks. The
+// blocked la::trsm / la::trmm / la::tri_inv algorithms resolve all
+// cross-block dependencies through packed GEMM panels (kernel::gemm) and
+// only ever hand these routines one diagonal block at a time, so nb stays
+// at the block size and the O(nb^2 k) substitution work is a small
+// fraction of the total. Inner loops run over the contiguous RHS dimension
+// with no data-dependent branches, so they auto-vectorize.
 
 #include "la/matrix.hpp"
 
@@ -19,13 +19,6 @@ void trsm_ll_block(const double* t, index_t ldt, double* b, index_t ldb,
 /// Same with T upper triangular (backward substitution).
 void trsm_lu_block(const double* t, index_t ldt, double* b, index_t ldb,
                    index_t nb, index_t k, bool unit);
-
-/// Single-precision twins of the two left-solve blocks, used by the f32
-/// half of the mixed-precision refinement path (la/mixed.hpp).
-void trsm_ll_block_f32(const float* t, index_t ldt, float* b, index_t ldb,
-                       index_t nb, index_t k, bool unit);
-void trsm_lu_block_f32(const float* t, index_t ldt, float* b, index_t ldb,
-                       index_t nb, index_t k, bool unit);
 
 /// Solve X T = B in place with T upper triangular. B: m x nb.
 void trsm_ru_block(const double* t, index_t ldt, double* b, index_t ldb,

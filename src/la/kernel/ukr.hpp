@@ -1,8 +1,8 @@
 #pragma once
-// Internal: per-backend micro-kernel registrations. Each TU owns one inner
-// kernel family (f64 + f32, with accumulate / store / non-temporal store
-// variants) so the SIMD ones can be built with function-level target
-// attributes without leaking wider ISAs into the rest of the library.
+// Internal: per-backend micro-kernel registrations. Each TU owns one f64
+// inner kernel (accumulate / store / non-temporal store variants) so the
+// SIMD ones can be built with function-level target attributes without
+// leaking wider ISAs into the rest of the library.
 
 #include "la/kernel/kernel.hpp"
 
@@ -18,9 +18,5 @@ namespace catrsm::la::kernel {
 const MicroKernel* scalar_microkernel();
 const MicroKernel* avx2_microkernel();    // nullptr on non-x86 builds
 const MicroKernel* avx512_microkernel();  // nullptr on non-x86 builds
-
-const MicroKernelF32* scalar_microkernel_f32();
-const MicroKernelF32* avx2_microkernel_f32();    // nullptr on non-x86
-const MicroKernelF32* avx512_microkernel_f32();  // nullptr on non-x86
 
 }  // namespace catrsm::la::kernel

@@ -19,36 +19,35 @@ namespace {
 
 constexpr int kPrefetchAhead = 4;  // k iterations
 
-// ---------------------------------------------------------------------------
-// f64: 6x8 tile — 12 ymm accumulators + 2 B vectors + 1 A broadcast = 15
+// 6x8 f64 tile — 12 ymm accumulators + 2 B vectors + 1 A broadcast = 15
 // of the 16 architectural registers; 12 FMAs per k iteration keeps both
 // FMA ports saturated while the loads stay under the 2 load ports.
 
-constexpr int kMr64 = 6;
-constexpr int kNr64 = 8;
+constexpr int kMr = 6;
+constexpr int kNr = 8;
 
-#define CATRSM_AVX2_F64_BODY(WRITE)                                        \
-  __m256d acc[kMr64][2];                                                   \
-  for (int i = 0; i < kMr64; ++i) {                                        \
+#define CATRSM_AVX2_BODY(WRITE)                                            \
+  __m256d acc[kMr][2];                                                     \
+  for (int i = 0; i < kMr; ++i) {                                          \
     acc[i][0] = _mm256_setzero_pd();                                       \
     acc[i][1] = _mm256_setzero_pd();                                       \
   }                                                                        \
   for (index_t l = 0; l < kc; ++l) {                                       \
-    _mm_prefetch(reinterpret_cast<const char*>(ap + kMr64 * kPrefetchAhead), \
+    _mm_prefetch(reinterpret_cast<const char*>(ap + kMr * kPrefetchAhead), \
                  _MM_HINT_T0);                                             \
-    _mm_prefetch(reinterpret_cast<const char*>(bp + kNr64 * kPrefetchAhead), \
+    _mm_prefetch(reinterpret_cast<const char*>(bp + kNr * kPrefetchAhead), \
                  _MM_HINT_T0);                                             \
     const __m256d b0 = _mm256_loadu_pd(bp);                                \
     const __m256d b1 = _mm256_loadu_pd(bp + 4);                            \
-    for (int i = 0; i < kMr64; ++i) {                                      \
+    for (int i = 0; i < kMr; ++i) {                                        \
       const __m256d ai = _mm256_broadcast_sd(ap + i);                      \
       acc[i][0] = _mm256_fmadd_pd(ai, b0, acc[i][0]);                      \
       acc[i][1] = _mm256_fmadd_pd(ai, b1, acc[i][1]);                      \
     }                                                                      \
-    ap += kMr64;                                                           \
-    bp += kNr64;                                                           \
+    ap += kMr;                                                             \
+    bp += kNr;                                                             \
   }                                                                        \
-  for (int i = 0; i < kMr64; ++i) {                                        \
+  for (int i = 0; i < kMr; ++i) {                                          \
     double* crow = c + i * ldc;                                            \
     WRITE(crow, 0, acc[i][0]);                                             \
     WRITE(crow, 4, acc[i][1]);                                             \
@@ -63,7 +62,7 @@ constexpr int kNr64 = 8;
 __attribute__((target("avx2,fma"))) void run_f64(index_t kc, const double* ap,
                                                  const double* bp, double* c,
                                                  index_t ldc) {
-  CATRSM_AVX2_F64_BODY(CATRSM_WRITE_ACC_PD)
+  CATRSM_AVX2_BODY(CATRSM_WRITE_ACC_PD)
 }
 
 __attribute__((target("avx2,fma"))) void run_store_f64(index_t kc,
@@ -71,7 +70,7 @@ __attribute__((target("avx2,fma"))) void run_store_f64(index_t kc,
                                                        const double* bp,
                                                        double* c,
                                                        index_t ldc) {
-  CATRSM_AVX2_F64_BODY(CATRSM_WRITE_ST_PD)
+  CATRSM_AVX2_BODY(CATRSM_WRITE_ST_PD)
 }
 
 // Caller guarantees c and ldc * sizeof(double) are 64-byte aligned, so
@@ -80,89 +79,20 @@ __attribute__((target("avx2,fma"))) void run_nt_f64(index_t kc,
                                                     const double* ap,
                                                     const double* bp,
                                                     double* c, index_t ldc) {
-  CATRSM_AVX2_F64_BODY(CATRSM_WRITE_NT_PD)
-}
-
-// ---------------------------------------------------------------------------
-// f32: 6x16 tile — same register budget as the f64 tile (12 accumulators
-// + 2 B vectors + 1 broadcast) but twice the lanes per FMA, which is the
-// whole point of the f32 path.
-
-constexpr int kMr32 = 6;
-constexpr int kNr32 = 16;
-
-#define CATRSM_AVX2_F32_BODY(WRITE)                                        \
-  __m256 acc[kMr32][2];                                                    \
-  for (int i = 0; i < kMr32; ++i) {                                        \
-    acc[i][0] = _mm256_setzero_ps();                                       \
-    acc[i][1] = _mm256_setzero_ps();                                       \
-  }                                                                        \
-  for (index_t l = 0; l < kc; ++l) {                                       \
-    _mm_prefetch(reinterpret_cast<const char*>(ap + kMr32 * kPrefetchAhead), \
-                 _MM_HINT_T0);                                             \
-    _mm_prefetch(reinterpret_cast<const char*>(bp + kNr32 * kPrefetchAhead), \
-                 _MM_HINT_T0);                                             \
-    const __m256 b0 = _mm256_loadu_ps(bp);                                 \
-    const __m256 b1 = _mm256_loadu_ps(bp + 8);                             \
-    for (int i = 0; i < kMr32; ++i) {                                      \
-      const __m256 ai = _mm256_broadcast_ss(ap + i);                       \
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);                      \
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);                      \
-    }                                                                      \
-    ap += kMr32;                                                           \
-    bp += kNr32;                                                           \
-  }                                                                        \
-  for (int i = 0; i < kMr32; ++i) {                                        \
-    float* crow = c + i * ldc;                                             \
-    WRITE(crow, 0, acc[i][0]);                                             \
-    WRITE(crow, 8, acc[i][1]);                                             \
-  }
-
-#define CATRSM_WRITE_ACC_PS(crow, off, v) \
-  _mm256_storeu_ps((crow) + (off),        \
-                   _mm256_add_ps(_mm256_loadu_ps((crow) + (off)), (v)))
-#define CATRSM_WRITE_ST_PS(crow, off, v) _mm256_storeu_ps((crow) + (off), (v))
-#define CATRSM_WRITE_NT_PS(crow, off, v) _mm256_stream_ps((crow) + (off), (v))
-
-__attribute__((target("avx2,fma"))) void run_f32(index_t kc, const float* ap,
-                                                 const float* bp, float* c,
-                                                 index_t ldc) {
-  CATRSM_AVX2_F32_BODY(CATRSM_WRITE_ACC_PS)
-}
-
-__attribute__((target("avx2,fma"))) void run_store_f32(index_t kc,
-                                                       const float* ap,
-                                                       const float* bp,
-                                                       float* c,
-                                                       index_t ldc) {
-  CATRSM_AVX2_F32_BODY(CATRSM_WRITE_ST_PS)
-}
-
-__attribute__((target("avx2,fma"))) void run_nt_f32(index_t kc,
-                                                    const float* ap,
-                                                    const float* bp, float* c,
-                                                    index_t ldc) {
-  CATRSM_AVX2_F32_BODY(CATRSM_WRITE_NT_PS)
+  CATRSM_AVX2_BODY(CATRSM_WRITE_NT_PD)
 }
 
 }  // namespace
 
 const MicroKernel* avx2_microkernel() {
-  static const MicroKernel k{Backend::kAvx2, "avx2",       kMr64, kNr64,
+  static const MicroKernel k{Backend::kAvx2, "avx2",        kMr, kNr,
                              run_f64,        run_store_f64, run_nt_f64};
-  return &k;
-}
-
-const MicroKernelF32* avx2_microkernel_f32() {
-  static const MicroKernelF32 k{Backend::kAvx2, "avx2",       kMr32, kNr32,
-                                run_f32,        run_store_f32, run_nt_f32};
   return &k;
 }
 
 #else  // non-x86 build: backend compiled out
 
 const MicroKernel* avx2_microkernel() { return nullptr; }
-const MicroKernelF32* avx2_microkernel_f32() { return nullptr; }
 
 #endif
 

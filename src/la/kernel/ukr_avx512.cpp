@@ -1,8 +1,8 @@
 #include "la/kernel/ukr.hpp"
 
-// AVX-512F tiles, stamped like the AVX2 TU: one body macro per precision,
-// three store variants that differ only in the final tile write. Only
-// avx512f is required, which every AVX-512 CPU provides.
+// AVX-512F tile, stamped like the AVX2 TU: one body macro, three store
+// variants that differ only in the final tile write. Only avx512f is
+// required, which every AVX-512 CPU provides.
 
 #ifdef CATRSM_UKR_X86
 #include <immintrin.h>
@@ -16,38 +16,37 @@ namespace {
 
 constexpr int kPrefetchAhead = 4;  // k iterations
 
-// ---------------------------------------------------------------------------
-// f64: 8x16 tile — 16 zmm accumulators + 2 B vectors + 1 broadcast = 19
+// 8x16 f64 tile — 16 zmm accumulators + 2 B vectors + 1 broadcast = 19
 // of 32 registers; 16 FMAs per k iteration against 10 loads.
 
-constexpr int kMr64 = 8;
-constexpr int kNr64 = 16;
+constexpr int kMr = 8;
+constexpr int kNr = 16;
 
-#define CATRSM_AVX512_F64_BODY(WRITE)                                      \
-  __m512d acc[kMr64][2];                                                   \
-  for (int i = 0; i < kMr64; ++i) {                                        \
+#define CATRSM_AVX512_BODY(WRITE)                                          \
+  __m512d acc[kMr][2];                                                     \
+  for (int i = 0; i < kMr; ++i) {                                          \
     acc[i][0] = _mm512_setzero_pd();                                       \
     acc[i][1] = _mm512_setzero_pd();                                       \
   }                                                                        \
   for (index_t l = 0; l < kc; ++l) {                                       \
-    _mm_prefetch(reinterpret_cast<const char*>(ap + kMr64 * kPrefetchAhead), \
+    _mm_prefetch(reinterpret_cast<const char*>(ap + kMr * kPrefetchAhead), \
                  _MM_HINT_T0);                                             \
-    _mm_prefetch(reinterpret_cast<const char*>(bp + kNr64 * kPrefetchAhead), \
+    _mm_prefetch(reinterpret_cast<const char*>(bp + kNr * kPrefetchAhead), \
                  _MM_HINT_T0);                                             \
     _mm_prefetch(                                                          \
-        reinterpret_cast<const char*>(bp + kNr64 * kPrefetchAhead + 8),    \
+        reinterpret_cast<const char*>(bp + kNr * kPrefetchAhead + 8),      \
         _MM_HINT_T0);                                                      \
     const __m512d b0 = _mm512_loadu_pd(bp);                                \
     const __m512d b1 = _mm512_loadu_pd(bp + 8);                            \
-    for (int i = 0; i < kMr64; ++i) {                                      \
+    for (int i = 0; i < kMr; ++i) {                                        \
       const __m512d ai = _mm512_set1_pd(ap[i]);                            \
       acc[i][0] = _mm512_fmadd_pd(ai, b0, acc[i][0]);                      \
       acc[i][1] = _mm512_fmadd_pd(ai, b1, acc[i][1]);                      \
     }                                                                      \
-    ap += kMr64;                                                           \
-    bp += kNr64;                                                           \
+    ap += kMr;                                                             \
+    bp += kNr;                                                             \
   }                                                                        \
-  for (int i = 0; i < kMr64; ++i) {                                        \
+  for (int i = 0; i < kMr; ++i) {                                          \
     double* crow = c + i * ldc;                                            \
     WRITE(crow, 0, acc[i][0]);                                             \
     WRITE(crow, 8, acc[i][1]);                                             \
@@ -62,14 +61,14 @@ constexpr int kNr64 = 16;
 __attribute__((target("avx512f"))) void run_f64(index_t kc, const double* ap,
                                                 const double* bp, double* c,
                                                 index_t ldc) {
-  CATRSM_AVX512_F64_BODY(CATRSM_WRITE_ACC_PD)
+  CATRSM_AVX512_BODY(CATRSM_WRITE_ACC_PD)
 }
 
 __attribute__((target("avx512f"))) void run_store_f64(index_t kc,
                                                       const double* ap,
                                                       const double* bp,
                                                       double* c, index_t ldc) {
-  CATRSM_AVX512_F64_BODY(CATRSM_WRITE_ST_PD)
+  CATRSM_AVX512_BODY(CATRSM_WRITE_ST_PD)
 }
 
 // Caller guarantees c and ldc * sizeof(double) are 64-byte aligned, so
@@ -78,89 +77,20 @@ __attribute__((target("avx512f"))) void run_nt_f64(index_t kc,
                                                    const double* ap,
                                                    const double* bp, double* c,
                                                    index_t ldc) {
-  CATRSM_AVX512_F64_BODY(CATRSM_WRITE_NT_PD)
-}
-
-// ---------------------------------------------------------------------------
-// f32: 8x32 tile — same register layout as the f64 tile, twice the lanes.
-
-constexpr int kMr32 = 8;
-constexpr int kNr32 = 32;
-
-#define CATRSM_AVX512_F32_BODY(WRITE)                                      \
-  __m512 acc[kMr32][2];                                                    \
-  for (int i = 0; i < kMr32; ++i) {                                        \
-    acc[i][0] = _mm512_setzero_ps();                                       \
-    acc[i][1] = _mm512_setzero_ps();                                       \
-  }                                                                        \
-  for (index_t l = 0; l < kc; ++l) {                                       \
-    _mm_prefetch(reinterpret_cast<const char*>(ap + kMr32 * kPrefetchAhead), \
-                 _MM_HINT_T0);                                             \
-    _mm_prefetch(reinterpret_cast<const char*>(bp + kNr32 * kPrefetchAhead), \
-                 _MM_HINT_T0);                                             \
-    _mm_prefetch(                                                          \
-        reinterpret_cast<const char*>(bp + kNr32 * kPrefetchAhead + 16),   \
-        _MM_HINT_T0);                                                      \
-    const __m512 b0 = _mm512_loadu_ps(bp);                                 \
-    const __m512 b1 = _mm512_loadu_ps(bp + 16);                            \
-    for (int i = 0; i < kMr32; ++i) {                                      \
-      const __m512 ai = _mm512_set1_ps(ap[i]);                             \
-      acc[i][0] = _mm512_fmadd_ps(ai, b0, acc[i][0]);                      \
-      acc[i][1] = _mm512_fmadd_ps(ai, b1, acc[i][1]);                      \
-    }                                                                      \
-    ap += kMr32;                                                           \
-    bp += kNr32;                                                           \
-  }                                                                        \
-  for (int i = 0; i < kMr32; ++i) {                                        \
-    float* crow = c + i * ldc;                                             \
-    WRITE(crow, 0, acc[i][0]);                                             \
-    WRITE(crow, 16, acc[i][1]);                                            \
-  }
-
-#define CATRSM_WRITE_ACC_PS(crow, off, v) \
-  _mm512_storeu_ps((crow) + (off),        \
-                   _mm512_add_ps(_mm512_loadu_ps((crow) + (off)), (v)))
-#define CATRSM_WRITE_ST_PS(crow, off, v) _mm512_storeu_ps((crow) + (off), (v))
-#define CATRSM_WRITE_NT_PS(crow, off, v) _mm512_stream_ps((crow) + (off), (v))
-
-__attribute__((target("avx512f"))) void run_f32(index_t kc, const float* ap,
-                                                const float* bp, float* c,
-                                                index_t ldc) {
-  CATRSM_AVX512_F32_BODY(CATRSM_WRITE_ACC_PS)
-}
-
-__attribute__((target("avx512f"))) void run_store_f32(index_t kc,
-                                                      const float* ap,
-                                                      const float* bp,
-                                                      float* c, index_t ldc) {
-  CATRSM_AVX512_F32_BODY(CATRSM_WRITE_ST_PS)
-}
-
-__attribute__((target("avx512f"))) void run_nt_f32(index_t kc,
-                                                   const float* ap,
-                                                   const float* bp, float* c,
-                                                   index_t ldc) {
-  CATRSM_AVX512_F32_BODY(CATRSM_WRITE_NT_PS)
+  CATRSM_AVX512_BODY(CATRSM_WRITE_NT_PD)
 }
 
 }  // namespace
 
 const MicroKernel* avx512_microkernel() {
-  static const MicroKernel k{Backend::kAvx512, "avx512",     kMr64, kNr64,
+  static const MicroKernel k{Backend::kAvx512, "avx512",      kMr, kNr,
                              run_f64,          run_store_f64, run_nt_f64};
-  return &k;
-}
-
-const MicroKernelF32* avx512_microkernel_f32() {
-  static const MicroKernelF32 k{Backend::kAvx512, "avx512",     kMr32, kNr32,
-                                run_f32,          run_store_f32, run_nt_f32};
   return &k;
 }
 
 #else  // non-x86 build: backend compiled out
 
 const MicroKernel* avx512_microkernel() { return nullptr; }
-const MicroKernelF32* avx512_microkernel_f32() { return nullptr; }
 
 #endif
 

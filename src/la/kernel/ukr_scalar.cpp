@@ -10,9 +10,9 @@ namespace {
 #define CATRSM_PREFETCH(p) ((void)0)
 #endif
 
-// 4x8 accumulator tile in plain C, for f64 and f32 alike. The fixed trip
-// counts let the compiler keep the tile in registers and auto-vectorize
-// to whatever the baseline ISA offers; there are deliberately no
+// 4x8 f64 accumulator tile in plain C. The fixed trip counts let the
+// compiler keep the tile in registers and auto-vectorize to whatever the
+// baseline ISA offers; there are deliberately no
 // data-dependent branches (a zero test per element defeats vectorization
 // and makes throughput depend on the input's sparsity). The packed
 // panels are streamed with a software prefetch a few k iterations ahead
@@ -22,9 +22,10 @@ constexpr int kMr = 4;
 constexpr int kNr = 8;
 constexpr int kPrefetchAhead = 4;  // k iterations
 
-template <class T, bool kAccum>
-void run_impl(index_t kc, const T* ap, const T* bp, T* c, index_t ldc) {
-  T acc[kMr][kNr] = {};
+template <bool kAccum>
+void run_impl(index_t kc, const double* ap, const double* bp, double* c,
+              index_t ldc) {
+  double acc[kMr][kNr] = {};
   for (index_t l = 0; l < kc; ++l) {
     CATRSM_PREFETCH(ap + kMr * kPrefetchAhead);
     CATRSM_PREFETCH(bp + kNr * kPrefetchAhead);
@@ -34,7 +35,7 @@ void run_impl(index_t kc, const T* ap, const T* bp, T* c, index_t ldc) {
     bp += kNr;
   }
   for (int i = 0; i < kMr; ++i) {
-    T* crow = c + i * ldc;
+    double* crow = c + i * ldc;
     if (kAccum) {
       for (int j = 0; j < kNr; ++j) crow[j] += acc[i][j];
     } else {
@@ -48,16 +49,8 @@ void run_impl(index_t kc, const T* ap, const T* bp, T* c, index_t ldc) {
 const MicroKernel* scalar_microkernel() {
   // No non-temporal variant: the portable tile has no streaming-store
   // instruction to use; the driver falls back to run_store.
-  static const MicroKernel k{Backend::kScalar, "scalar", kMr, kNr,
-                             run_impl<double, true>, run_impl<double, false>,
-                             nullptr};
-  return &k;
-}
-
-const MicroKernelF32* scalar_microkernel_f32() {
-  static const MicroKernelF32 k{Backend::kScalar, "scalar", kMr, kNr,
-                                run_impl<float, true>, run_impl<float, false>,
-                                nullptr};
+  static const MicroKernel k{Backend::kScalar, "scalar", kMr,   kNr,
+                             run_impl<true>,   run_impl<false>, nullptr};
   return &k;
 }
 

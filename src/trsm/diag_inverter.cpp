@@ -20,6 +20,31 @@ struct BlockHome {
   std::shared_ptr<BlockCyclicDist> dist;  // cyclic layout on its subgrid
 };
 
+/// The outgoing streams of one all-to-all over p ranks, packed count
+/// first: `walk(emit)` calls emit(dest, value) for every outgoing element
+/// in stream order. It runs twice — once to count each destination's
+/// elements, once to write them into one pooled uninitialized slab — and
+/// each destination ships its slice of that slab, element for element
+/// the stream that per-destination appends would build.
+template <class Walk>
+std::vector<coll::Buffer> pack_streams(int p, Walk&& walk) {
+  const std::size_t g = static_cast<std::size_t>(p);
+  std::vector<std::size_t> counts(g, 0);
+  walk([&](int dest, double) { ++counts[static_cast<std::size_t>(dest)]; });
+  std::vector<std::size_t> offsets(g + 1, 0);
+  for (std::size_t t = 0; t < g; ++t) offsets[t + 1] = offsets[t] + counts[t];
+  coll::Buffer packed = coll::Buffer::uninit(offsets[g]);
+  double* slab = packed.mutable_data();
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  walk([&](int dest, double v) {
+    slab[cursor[static_cast<std::size_t>(dest)]++] = v;
+  });
+  std::vector<coll::Buffer> streams(g);
+  for (std::size_t t = 0; t < g; ++t)
+    streams[t] = packed.slice(offsets[t], counts[t]);
+  return streams;
+}
+
 }  // namespace
 
 DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
@@ -84,30 +109,41 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
 
   // --- Phase 1: one personalized all-to-all ships every diagonal block to
   // its subgrid (paper lines 6 and 9 fused).
-  std::vector<coll::Buf> outgoing(static_cast<std::size_t>(p));
+  std::vector<coll::Buffer> outgoing(static_cast<std::size_t>(p));
   if (l.participates()) {
     const auto& rows = l.my_rows();
     const auto& cols = l.my_cols();
-    std::vector<int> col_part;
-    for (std::size_t b = 0; b < homes.size(); ++b) {
-      const BlockHome& home = homes[b];
+    // Per-block row spans and block-column parts, shared by both passes.
+    struct Span {
+      std::size_t r_lo, r_hi, c_lo;
+      std::vector<int> col_part;
+    };
+    std::vector<Span> spans;
+    spans.reserve(homes.size());
+    for (const BlockHome& home : homes) {
       const auto [r_lo, r_hi] =
           span_of(rows, home.offset, home.offset + home.size);
       const auto [c_lo, c_hi] =
           span_of(cols, home.offset, home.offset + home.size);
-      col_part.clear();
+      Span sp{r_lo, r_hi, c_lo, {}};
       for (auto c = c_lo; c < c_hi; ++c)
-        col_part.push_back(home.dist->part_of_col(cols[c] - home.offset));
-      for (auto r = r_lo; r < r_hi; ++r) {
-        const int rp = home.dist->part_of_row(rows[r] - home.offset);
-        const double* src =
-            l.local().ptr() + static_cast<index_t>(r) * l.local().cols();
-        for (auto c = c_lo; c < c_hi; ++c)
-          outgoing[static_cast<std::size_t>(
-                       home_owner[b].at(rp, col_part[c - c_lo]))]
-              .push_back(src[c]);
-      }
+        sp.col_part.push_back(home.dist->part_of_col(cols[c] - home.offset));
+      spans.push_back(std::move(sp));
     }
+    outgoing = pack_streams(p, [&](auto&& emit) {
+      for (std::size_t b = 0; b < homes.size(); ++b) {
+        const BlockHome& home = homes[b];
+        const Span& sp = spans[b];
+        for (auto r = sp.r_lo; r < sp.r_hi; ++r) {
+          const int rp = home.dist->part_of_row(rows[r] - home.offset);
+          const double* src = l.local().ptr() +
+                              static_cast<index_t>(r) * l.local().cols() +
+                              sp.c_lo;
+          for (std::size_t c = 0; c < sp.col_part.size(); ++c)
+            emit(home_owner[b].at(rp, sp.col_part[c]), src[c]);
+        }
+      }
+    });
   }
   std::vector<coll::Buffer> incoming =
       coll::alltoallv(comm, std::move(outgoing));
@@ -159,18 +195,19 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
 
   // --- Phase 3: one all-to-all returns the inverted blocks (paper lines
   // 16 and 17 fused); the result is L with its diagonal blocks replaced.
-  std::vector<coll::Buf> back_out(static_cast<std::size_t>(p));
-  for (std::size_t i = 0; i < my_blocks.size(); ++i) {
-    const DistMatrix& my_inv = my_invs[i];
-    if (!my_inv.participates()) continue;
-    const BlockHome& home = homes[static_cast<std::size_t>(my_blocks[i])];
-    const auto [row_part, col_part] = l_parts(my_inv, home.offset);
-    const double* src = my_inv.local().ptr();
-    for (const int rp : row_part)
-      for (const int cp : col_part)
-        back_out[static_cast<std::size_t>(l_owner.at(rp, cp))].push_back(
-            *src++);
-  }
+  // (Both part lists are empty on a rank outside a block's subgrid.)
+  std::vector<std::pair<std::vector<int>, std::vector<int>>> inv_parts;
+  for (std::size_t i = 0; i < my_blocks.size(); ++i)
+    inv_parts.push_back(l_parts(
+        my_invs[i], homes[static_cast<std::size_t>(my_blocks[i])].offset));
+  std::vector<coll::Buffer> back_out = pack_streams(p, [&](auto&& emit) {
+    for (std::size_t i = 0; i < my_blocks.size(); ++i) {
+      const auto& [row_part, col_part] = inv_parts[i];
+      const double* src = my_invs[i].local().ptr();
+      for (const int rp : row_part)
+        for (const int cp : col_part) emit(l_owner.at(rp, cp), *src++);
+    }
+  });
   std::vector<coll::Buffer> back_in =
       coll::alltoallv(comm, std::move(back_out));
 

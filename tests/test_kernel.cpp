@@ -47,9 +47,8 @@ double rel_frobenius_diff(const Matrix& a, const Matrix& b) {
 }
 
 /// Shapes that stress every edge of the tiling: 1, 3, MR±1, NR±1 for the
-/// dispatched kernel, plus multi-block and non-multiple-of-block sizes.
-std::vector<index_t> edge_sizes() {
-  const kernel::MicroKernel& uk = kernel::active_microkernel();
+/// given kernel, plus multi-block and non-multiple-of-block sizes.
+std::vector<index_t> edge_sizes(const kernel::MicroKernel& uk) {
   std::set<index_t> s{1, 3, uk.mr - 1, uk.mr + 1, uk.nr - 1, uk.nr + 1,
                       64, 129, 257};
   s.erase(0);
@@ -69,19 +68,26 @@ TEST(Kernel, DispatchIsResolvedAndConsistent) {
 }
 
 TEST(Kernel, PackedGemmMatchesNaiveOnEdgeShapes) {
-  const kernel::MicroKernel& uk = kernel::active_microkernel();
-  for (const index_t m : edge_sizes()) {
-    for (const index_t n : edge_sizes()) {
-      for (const index_t kk : edge_sizes()) {
-        const Matrix a = make_dense(m * 131 + kk, m, kk);
-        const Matrix b = make_dense(n * 137 + kk, kk, n);
-        const Matrix ref = naive_matmul(a, b);
-        Matrix c(m, n);
-        kernel::gemm_with(uk, m, n, kk, 1.0, a.ptr(), kk, b.ptr(), n, 0.0,
-                          c.ptr(), n);
-        const double scale = std::max(1.0, max_abs(ref));
-        EXPECT_LT(max_abs_diff(c, ref) / scale, 1e-12)
-            << "m=" << m << " n=" << n << " k=" << kk;
+  // Every backend the CPU can run, not only the dispatched one, so the
+  // partial-tile path of each tile shape is checked in the default run.
+  for (const kernel::Backend be :
+       {kernel::Backend::kScalar, kernel::Backend::kAvx2,
+        kernel::Backend::kAvx512}) {
+    const kernel::MicroKernel* uk = kernel::microkernel_for(be);
+    if (uk == nullptr || !kernel::cpu_supports(be)) continue;
+    for (const index_t m : edge_sizes(*uk)) {
+      for (const index_t n : edge_sizes(*uk)) {
+        for (const index_t kk : edge_sizes(*uk)) {
+          const Matrix a = make_dense(m * 131 + kk, m, kk);
+          const Matrix b = make_dense(n * 137 + kk, kk, n);
+          const Matrix ref = naive_matmul(a, b);
+          Matrix c(m, n);
+          kernel::gemm_with(*uk, m, n, kk, 1.0, a.ptr(), kk, b.ptr(), n, 0.0,
+                            c.ptr(), n);
+          const double scale = std::max(1.0, max_abs(ref));
+          EXPECT_LT(max_abs_diff(c, ref) / scale, 1e-12)
+              << uk->name << " m=" << m << " n=" << n << " k=" << kk;
+        }
       }
     }
   }
@@ -291,92 +297,6 @@ TEST(KernelPool, TrsmAndTriInvBitIdenticalAcrossPoolSizes) {
     EXPECT_TRUE(t1.equals(t4)) << "tri_inv n=" << n;
     EXPECT_EQ(frobenius_distance(t1, t4), 0.0) << "tri_inv n=" << n;
   }
-}
-
-// ---------------------------------------------------------------------------
-// f32 kernels
-
-Matrix naive_matmul_f32(const std::vector<float>& a, const std::vector<float>& b,
-                        index_t m, index_t n, index_t kk) {
-  // Reference computed in f32 throughout, so the comparison tolerance only
-  // has to absorb summation-order differences, not precision differences.
-  Matrix c(m, n);
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < n; ++j) {
-      float s = 0.0f;
-      for (index_t l = 0; l < kk; ++l)
-        s += a[static_cast<std::size_t>(i * kk + l)] *
-             b[static_cast<std::size_t>(l * n + j)];
-      c(i, j) = static_cast<double>(s);
-    }
-  return c;
-}
-
-std::vector<index_t> edge_sizes_f32() {
-  const kernel::MicroKernelF32& uk = kernel::active_microkernel_f32();
-  std::set<index_t> s{1, 3, uk.mr - 1, uk.mr + 1, uk.nr - 1, uk.nr + 1,
-                      64, 129};
-  s.erase(0);
-  return {s.begin(), s.end()};
-}
-
-TEST(KernelF32, PackedGemmMatchesNaiveOnEdgeShapes) {
-  const kernel::MicroKernelF32& uk = kernel::active_microkernel_f32();
-  EXPECT_EQ(uk.backend, kernel::active_backend());
-  for (const index_t m : edge_sizes_f32()) {
-    for (const index_t n : edge_sizes_f32()) {
-      for (const index_t kk : {index_t{1}, index_t{33}, index_t{129}}) {
-        std::vector<float> a(static_cast<std::size_t>(m * kk));
-        std::vector<float> b(static_cast<std::size_t>(kk * n));
-        for (std::size_t i = 0; i < a.size(); ++i)
-          a[i] = std::sin(static_cast<float>(i) + static_cast<float>(m));
-        for (std::size_t i = 0; i < b.size(); ++i)
-          b[i] = std::cos(static_cast<float>(i) * 0.5f);
-        const Matrix ref = naive_matmul_f32(a, b, m, n, kk);
-        std::vector<float> c(static_cast<std::size_t>(m * n), 7.0f);
-        kernel::gemm_with_f32(uk, m, n, kk, 1.0f, a.data(), kk, b.data(), n,
-                              0.0f, c.data(), n);
-        const double scale = std::max(1.0, max_abs(ref));
-        double maxd = 0.0;
-        for (index_t i = 0; i < m; ++i)
-          for (index_t j = 0; j < n; ++j)
-            maxd = std::max(maxd,
-                            std::abs(static_cast<double>(
-                                         c[static_cast<std::size_t>(i * n + j)]) -
-                                     ref(i, j)));
-        EXPECT_LT(maxd / scale, 1e-4) << "m=" << m << " n=" << n
-                                      << " k=" << kk;
-      }
-    }
-  }
-}
-
-TEST(KernelF32, ScalarAndDispatchedBackendsAgree) {
-  const kernel::MicroKernelF32* scalar =
-      kernel::microkernel_f32_for(kernel::Backend::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  const kernel::MicroKernelF32& active = kernel::active_microkernel_f32();
-  const index_t n = 129;
-  std::vector<float> a(static_cast<std::size_t>(n * n));
-  std::vector<float> b(static_cast<std::size_t>(n * n));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = std::sin(static_cast<float>(i));
-    b[i] = std::cos(static_cast<float>(i) * 0.25f);
-  }
-  std::vector<float> cs(static_cast<std::size_t>(n * n));
-  std::vector<float> cd(static_cast<std::size_t>(n * n));
-  kernel::gemm_with_f32(*scalar, n, n, n, 1.0f, a.data(), n, b.data(), n,
-                        0.0f, cs.data(), n);
-  kernel::gemm_with_f32(active, n, n, n, 1.0f, a.data(), n, b.data(), n,
-                        0.0f, cd.data(), n);
-  double maxrel = 0.0;
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    const double den = std::max(1.0, std::abs(static_cast<double>(cs[i])));
-    maxrel = std::max(
-        maxrel, std::abs(static_cast<double>(cd[i]) -
-                         static_cast<double>(cs[i])) / den);
-  }
-  EXPECT_LT(maxrel, 1e-4);
 }
 
 // ---------------------------------------------------------------------------
