@@ -427,8 +427,11 @@ class Plan : public std::enable_shared_from_this<Plan> {
   OpDesc desc_;
   model::Config config_;
 
-  // Iterative-TRSM diagonal-inverse cache: each rank's local Ltilde block,
-  // valid for the operand handle identified by the fingerprint.
+  // Iterative-TRSM diagonal-inverse cache: slot [world rank] holds that
+  // rank's pieces of the inverted diagonal blocks (a trsm::DiagInverse,
+  // about n n0 / p1^2 doubles — not a copy of L, whose off-diagonal
+  // panels the solver reads from the resident operand), valid for the
+  // operand handle identified by the fingerprint.
   // diag_mu_ serializes the cache decisions: an in-flight reuse run reads
   // diag_locals_ (diag_readers_ > 0), and a completed non-reuse run
   // merges its privately computed blocks in when it settles — only when
@@ -436,7 +439,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
   // a running fiber.
   mutable std::mutex diag_mu_;
   int diag_readers_ = 0;
-  std::vector<la::Matrix> diag_locals_;
+  std::vector<std::vector<la::Matrix>> diag_locals_;
   std::uint64_t diag_fp_ = 0;
   bool diag_valid_ = false;
   std::uint64_t diag_inversions_ = 0;
@@ -544,6 +547,14 @@ class Context {
                        const std::shared_ptr<const dist::Distribution>& d);
   la::Matrix download_on(const DistHandle& h,
                          const std::shared_ptr<const dist::Distribution>& d);
+  /// The shared tail of both uploads: create a store entry, let `fill`
+  /// write every participating rank's slot, record `source` for repair
+  /// and eviction, and admit the entry under the byte budget.
+  DistHandle admit(
+      index_t rows, index_t cols, Layout layout,
+      const std::shared_ptr<const dist::Distribution>& d,
+      const std::function<void(sim::HandleStore&, std::uint64_t)>& fill,
+      Gen source);
 
   std::unique_ptr<sim::Machine> owned_;
   sim::Machine* machine_;
@@ -682,7 +693,7 @@ class Program {
     NodeId out = -1;
     // Cross-execute state threaded into the iterative TRSM body (the
     // plan's diagonal-inverse cache; see detail::TrsmBodyOptions).
-    std::vector<la::Matrix>* ltilde_store = nullptr;
+    std::vector<std::vector<la::Matrix>>* ltilde_store = nullptr;
     bool reuse_ltilde = false;
   };
 

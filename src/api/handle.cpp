@@ -4,6 +4,8 @@
 // here touches the simulated machine's clocks or counters, which is what
 // keeps algorithm_cost() on the handle path free of driver artifacts.
 
+#include <algorithm>
+
 #include "api/op_bodies.hpp"
 #include "support/check.hpp"
 
@@ -72,6 +74,36 @@ void fill_slots(sim::HandleStore& store, std::uint64_t id, const Gen& gen,
   }
 }
 
+/// The same fill from a host matrix: each slot row is gathered straight
+/// from its source row (one memcpy when the rank's columns are a
+/// contiguous run), with no per-element generator call or part lookup.
+void fill_slots(sim::HandleStore& store, std::uint64_t id,
+                const la::Matrix& m,
+                const std::shared_ptr<const dist::Distribution>& d, int p) {
+  for (int w = 0; w < p; ++w) {
+    const auto parts = d->parts_of_world(w);
+    if (!parts.has_value()) continue;
+    const auto rows = d->rows_of_part(parts->first);
+    const auto cols = d->cols_of_part(parts->second);
+    const index_t nc = static_cast<index_t>(cols.size());
+    la::Matrix local =
+        la::Matrix::uninit(static_cast<index_t>(rows.size()), nc);
+    const bool contiguous = nc > 0 && cols.back() - cols.front() == nc - 1;
+    double* dst = local.ptr();
+    for (const index_t i : rows) {
+      const double* src = m.ptr() + i * m.cols();
+      if (contiguous) {
+        std::copy(src + cols.front(), src + cols.front() + nc, dst);
+      } else {
+        for (index_t c = 0; c < nc; ++c)
+          dst[c] = src[cols[static_cast<std::size_t>(c)]];
+      }
+      dst += nc;
+    }
+    store.local(id, w) = std::move(local);
+  }
+}
+
 }  // namespace
 
 DistHandle Context::upload(const la::Matrix& m, Layout layout) {
@@ -92,19 +124,34 @@ DistHandle Context::upload_on(
   // Copy the matrix into the recovery source: the handle's repair path
   // may fire long after the caller's matrix is gone.
   const auto keep = std::make_shared<la::Matrix>(m);
-  return upload_on([keep](index_t i, index_t j) { return (*keep)(i, j); },
-                   m.rows(), m.cols(), layout, d);
+  return admit(m.rows(), m.cols(), layout, d,
+               [&](sim::HandleStore& store, std::uint64_t id) {
+                 fill_slots(store, id, m, d, nprocs());
+               },
+               [keep](index_t i, index_t j) { return (*keep)(i, j); });
 }
 
 DistHandle Context::upload_on(
     const Gen& gen, index_t rows, index_t cols, Layout layout,
     const std::shared_ptr<const dist::Distribution>& d) {
+  return admit(rows, cols, layout, d,
+               [&](sim::HandleStore& store, std::uint64_t id) {
+                 fill_slots(store, id, gen, d, nprocs());
+               },
+               gen);
+}
+
+DistHandle Context::admit(
+    index_t rows, index_t cols, Layout layout,
+    const std::shared_ptr<const dist::Distribution>& d,
+    const std::function<void(sim::HandleStore&, std::uint64_t)>& fill,
+    Gen source) {
   CATRSM_CHECK(rows >= 1 && cols >= 1, "upload: empty operand");
   CATRSM_CHECK(d != nullptr && d->rows() == rows && d->cols() == cols,
                "upload: realization does not match the operand shape");
   sim::HandleStore& store = machine_->handle_store();
   const std::uint64_t id = store.create();
-  fill_slots(store, id, gen, d, nprocs());
+  fill(store, id);
   // Uploaded operands carry their source, so they can be rebuilt bitwise
   // after a byte-budget eviction — mark them evictable, account their
   // bytes, and let the new admission push the LRU tail out.
@@ -112,7 +159,7 @@ DistHandle Context::upload_on(
   store.touch(id);
   auto state = std::make_shared<DistHandle::State>(
       machine_, id, layout, rows, cols, store.epoch(id));
-  state->source = gen;
+  state->source = std::move(source);
   store.evict_to_budget();
   return DistHandle(std::move(state));
 }

@@ -24,6 +24,7 @@
 #include "dist/dist_matrix.hpp"
 #include "dist/redistribute.hpp"
 #include "sim/handle_store.hpp"
+#include "trsm/diag_inverter.hpp"
 
 namespace catrsm::api {
 
@@ -74,7 +75,7 @@ int grid_ranks(const OpDesc& desc, const model::Config& cfg, int p);
 /// Cross-execute state of the iterative TRSM (the plan's diagonal-inverse
 /// cache threads through here).
 struct TrsmBodyOptions {
-  std::vector<la::Matrix>* ltilde_store = nullptr;
+  std::vector<trsm::DiagInverse>* ltilde_store = nullptr;
   bool reuse_ltilde = false;
 };
 

@@ -281,15 +281,15 @@ Layout Plan::output_layout() const {
 }
 
 // One in-flight Program run plus its deferred diagonal-inverse cache
-// merge. A cache miss computes Ltilde into the ticket's PRIVATE store
-// (never the plan's shared one — a concurrent reuse stream may be reading
-// that); settle() merges it into the plan under diag_mu_, and only when
-// no reader is in flight.
+// merge. A cache miss inverts the diagonal blocks into the ticket's
+// PRIVATE store (never the plan's shared one — a concurrent reuse stream
+// may be reading that); settle() merges it into the plan under diag_mu_,
+// and only when no reader is in flight.
 struct DistTicket::Shared {
   std::shared_ptr<Plan> plan;
   Program::AsyncResult async;
 
-  std::unique_ptr<std::vector<Matrix>> ltilde;
+  std::unique_ptr<std::vector<trsm::DiagInverse>> ltilde;
   std::uint64_t merge_fp = 0;
 
   std::mutex mu;
@@ -565,7 +565,7 @@ DistTicket Plan::launch(Program& prog, const std::vector<DistHandle>& inputs) {
   if (caches_inverse()) {
     const std::uint64_t fp = handle_fingerprint(inputs[0]);
     std::lock_guard<std::mutex> lock(diag_mu_);
-    std::vector<Matrix>* store = nullptr;
+    std::vector<trsm::DiagInverse>* store = nullptr;
     if (diag_valid_ && diag_fp_ == fp) {
       store = &diag_locals_;
       ++diag_readers_;
@@ -575,7 +575,7 @@ DistTicket Plan::launch(Program& prog, const std::vector<DistHandle>& inputs) {
         --self->diag_readers_;
       };
     } else {
-      sh->ltilde = std::make_unique<std::vector<Matrix>>(
+      sh->ltilde = std::make_unique<std::vector<trsm::DiagInverse>>(
           static_cast<std::size_t>(ctx_->nprocs()));
       sh->merge_fp = fp;
       store = sh->ltilde.get();

@@ -11,6 +11,17 @@ DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me)
                       static_cast<index_t>(my_cols_.size()));
 }
 
+DistMatrix DistMatrix::uninit(std::shared_ptr<const Distribution> d,
+                              int me) {
+  DistMatrix out;
+  out.dist_ = std::move(d);
+  out.me_ = me;
+  out.init_indices();
+  out.local_ = la::Matrix::uninit(static_cast<index_t>(out.my_rows_.size()),
+                                  static_cast<index_t>(out.my_cols_.size()));
+  return out;
+}
+
 DistMatrix::DistMatrix(std::shared_ptr<const Distribution> d, int me,
                        la::Matrix&& local)
     : dist_(std::move(d)), me_(me) {

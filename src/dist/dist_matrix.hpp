@@ -23,6 +23,10 @@ class DistMatrix {
   /// local block is allocated (zero-filled) immediately.
   DistMatrix(std::shared_ptr<const Distribution> d, int me);
 
+  /// The same view with my local block allocated but UNINITIALIZED: for a
+  /// receiver that writes every local element (an all-to-all unpack).
+  static DistMatrix uninit(std::shared_ptr<const Distribution> d, int me);
+
   /// The same view adopting `local` as my block — no zero-fill, no copy.
   /// Throws catrsm::Error, leaving `local` untouched, unless its shape is
   /// exactly my local shape under `d`.

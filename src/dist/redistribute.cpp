@@ -123,7 +123,9 @@ DistMatrix remap(const DistMatrix& src,
   std::vector<coll::Buffer> incoming =
       coll::alltoallv(comm, std::move(outgoing), algo);
 
-  DistMatrix out(std::move(dst), me);
+  // Every local element arrives from exactly one source stream, so the
+  // block is written in full by the unpack below.
+  DistMatrix out = DistMatrix::uninit(std::move(dst), me);
   if (out.participates()) {
     const Distribution& sd = src.dist();
     // The source-row axis is my row axis, or my column axis under a swap

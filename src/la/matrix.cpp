@@ -78,4 +78,13 @@ Matrix Matrix::identity(index_t n) {
 
 Matrix Matrix::zeros(index_t rows, index_t cols) { return Matrix(rows, cols); }
 
+Matrix Matrix::uninit(index_t rows, index_t cols) {
+  CATRSM_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
+  Matrix out;
+  out.rows_ = rows;
+  out.cols_ = cols;
+  out.data_ = aligned_vector(static_cast<std::size_t>(rows * cols));
+  return out;
+}
+
 }  // namespace catrsm::la

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -35,6 +36,18 @@ struct CacheAlignedAlloc {
   }
   void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
 
+  /// Default-initialize on argumentless construction, so a vector sized
+  /// without a fill value is left uninitialized (Matrix::uninit); every
+  /// other construction forwards as usual.
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   template <class U>
   bool operator==(const CacheAlignedAlloc<U>&) const {
     return true;
@@ -54,6 +67,11 @@ class Matrix {
 
   /// rows x cols matrix, zero-initialized.
   Matrix(index_t rows, index_t cols);
+
+  /// rows x cols matrix with UNINITIALIZED storage: for a block the caller
+  /// overwrites element for element (an unpack, a GEMM with beta = 0),
+  /// where the zero-fill would be a wasted pass over memory.
+  static Matrix uninit(index_t rows, index_t cols);
 
   /// rows x cols matrix from existing row-major data (size must match).
   /// Copies into the matrix's aligned storage — a std::vector's buffer

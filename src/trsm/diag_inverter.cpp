@@ -47,8 +47,8 @@ std::vector<coll::Buffer> pack_streams(int p, Walk&& walk) {
 
 }  // namespace
 
-DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
-                         int nblocks, DiagInvOptions opts) {
+DiagInverse diag_inverter(const DistMatrix& l, const sim::Comm& comm,
+                          int nblocks, DiagInvOptions opts) {
   const auto* ld = dynamic_cast<const BlockCyclicDist*>(&l.dist());
   CATRSM_CHECK(ld != nullptr && ld->br() == 1 && ld->bc() == 1,
                "diag_inverter: requires a unit-block cyclic layout");
@@ -60,6 +60,8 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
   const int me = ctx.id();
 
   const index_t nb = ceil_div(n, nblocks);
+  CATRSM_CHECK(ceil_div(n, nb) == nblocks,
+               "diag_inverter: nblocks leaves an empty diagonal block");
   // When nblocks <= p every block gets its own subgrid of q ranks; with
   // more blocks than ranks, subgrids take several blocks and invert them
   // sequentially (block b lives on group b mod ngroups).
@@ -163,7 +165,8 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
     std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
     for (const int b : my_blocks) {
       const BlockHome& home = homes[static_cast<std::size_t>(b)];
-      DistMatrix mat(home.dist, me);
+      // The unpack below writes every element of the sub-block.
+      DistMatrix mat = DistMatrix::uninit(home.dist, me);
       if (mat.participates()) {
         const auto [row_part, col_part] = l_parts(mat, home.offset);
         double* dst = mat.local().ptr();
@@ -194,7 +197,7 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
   }
 
   // --- Phase 3: one all-to-all returns the inverted blocks (paper lines
-  // 16 and 17 fused); the result is L with its diagonal blocks replaced.
+  // 16 and 17 fused), each element to the rank that owns it in L's layout.
   // (Both part lists are empty on a rank outside a block's subgrid.)
   std::vector<std::pair<std::vector<int>, std::vector<int>>> inv_parts;
   for (std::size_t i = 0; i < my_blocks.size(); ++i)
@@ -211,10 +214,13 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
   std::vector<coll::Buffer> back_in =
       coll::alltoallv(comm, std::move(back_out));
 
-  DistMatrix ltilde = l;  // off-diagonal panels stay as in L
-  if (ltilde.participates()) {
-    const auto& rows = ltilde.my_rows();
-    const auto& cols = ltilde.my_cols();
+  // Unpack straight into my compact pieces: block b's piece is my
+  // (rows x cols) of L cut to S_b x S_b, and the streams cover it exactly.
+  DiagInverse pieces;
+  if (l.participates()) {
+    const auto& rows = l.my_rows();
+    const auto& cols = l.my_cols();
+    pieces.reserve(homes.size());
     std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
     std::vector<int> col_part;
     for (std::size_t b = 0; b < homes.size(); ++b) {
@@ -226,21 +232,23 @@ DistMatrix diag_inverter(const DistMatrix& l, const sim::Comm& comm,
       col_part.clear();
       for (auto c = c_lo; c < c_hi; ++c)
         col_part.push_back(home.dist->part_of_col(cols[c] - home.offset));
+      la::Matrix piece = la::Matrix::uninit(static_cast<index_t>(r_hi - r_lo),
+                                            static_cast<index_t>(c_hi - c_lo));
+      double* dst = piece.ptr();
       for (auto r = r_lo; r < r_hi; ++r) {
         const int rp = home.dist->part_of_row(rows[r] - home.offset);
-        double* dst = ltilde.local().ptr() +
-                      static_cast<index_t>(r) * ltilde.local().cols();
-        for (auto c = c_lo; c < c_hi; ++c) {
-          const std::size_t s = static_cast<std::size_t>(
-              home_owner[b].at(rp, col_part[c - c_lo]));
+        for (const int cp : col_part) {
+          const std::size_t s =
+              static_cast<std::size_t>(home_owner[b].at(rp, cp));
           CATRSM_ASSERT(cursor[s] < back_in[s].size(),
                         "diag_inverter: short gather stream");
-          dst[c] = back_in[s][cursor[s]++];
+          *dst++ = back_in[s][cursor[s]++];
         }
       }
+      pieces.push_back(std::move(piece));
     }
   }
-  return ltilde;
+  return pieces;
 }
 
 }  // namespace catrsm::trsm

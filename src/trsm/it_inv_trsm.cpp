@@ -42,15 +42,24 @@ index_t strided_count(index_t n, int m, int res) {
   return (n - res - 1) / m + 1;
 }
 
-/// A received payload viewed as a frozen row-major rows x cols panel.
-/// The data stays on the transport slab — no take()/to_vector copy; every
-/// consumer below only reads, so the view is all that is needed.
+/// A read-only row-major rows x cols operand with leading dimension ld:
+/// a view of resident storage (L or the diagonal-inverse store) read in
+/// place, or of a received payload that `buf` keeps alive on its
+/// transport slab — no take()/to_vector copy, since every consumer below
+/// only reads.
 struct Panel {
   sim::Buffer buf;
+  const double* ptr = nullptr;
   index_t rows = 0;
   index_t cols = 0;
-  const double* ptr() const { return buf.data(); }
+  index_t ld = 0;
 };
+
+/// A received payload viewed as a dense rows x cols panel.
+Panel received(sim::Buffer buf, index_t rows, index_t cols) {
+  const double* ptr = buf.data();
+  return Panel{std::move(buf), ptr, rows, cols, cols};
+}
 
 }  // namespace
 
@@ -120,31 +129,39 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
   nblocks = static_cast<int>(ceil_div(n, nb));
 
   // --- Invert the diagonal blocks with all p ranks (Section VI-A), or
-  // rehydrate them from a caller-managed store (plan reuse: repeated
-  // solves against the same L skip the inversion entirely).
+  // read them from a caller-managed store (plan reuse: repeated solves
+  // against the same L skip the inversion entirely). Only the inverted
+  // blocks are kept; the off-diagonal panels are read from L itself.
   // Phase labels reproduce the paper's Section VII cost decomposition
   // (T = T_Inv + T_Solve + T_Upd) in RunStats::phase_max.
-  // A reused Ltilde is read in place, by reference: the store is only
-  // rewritten when no run is reading it, so copying it into a fresh
-  // (zero-filled) block would buy nothing.
-  DistMatrix inverted;
-  const la::Matrix& ltilde = [&]() -> const la::Matrix& {
-    if (opts.ltilde_store != nullptr && opts.reuse_ltilde) {
-      const la::Matrix& stored =
-          (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())];
-      CATRSM_CHECK(!l.participates() ||
-                       (stored.rows() == l.local().rows() &&
-                        stored.cols() == l.local().cols()),
-                   "it_inv_trsm: stored ltilde shape mismatch");
-      return stored;
+  // A reused inverse is read in place, by reference: the store is only
+  // rewritten when no run is reading it. A fresh one moves into its slot.
+  DiagInverse fresh;
+  const DiagInverse* dinv = &fresh;
+  const bool reuse = opts.ltilde_store != nullptr && opts.reuse_ltilde;
+  if (reuse) {
+    dinv = &(*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())];
+    bool fits = !l.participates() ||
+                dinv->size() == static_cast<std::size_t>(nblocks);
+    for (int i = 0; fits && l.participates() && i < nblocks; ++i) {
+      const index_t oi = static_cast<index_t>(i) * nb;
+      const index_t sz = std::min(nb, n - oi);
+      const auto [rx0, rx1] = local_range(oi, oi + sz, x, p1);
+      const auto [cy0, cy1] = local_range(oi, oi + sz, y, p1);
+      const la::Matrix& piece = (*dinv)[static_cast<std::size_t>(i)];
+      fits = piece.rows() == rx1 - rx0 && piece.cols() == cy1 - cy0;
     }
+    CATRSM_CHECK(fits, "it_inv_trsm: stored diagonal inverse shape mismatch");
+  } else {
     sim::PhaseScope scope(ctx, "inversion");
-    inverted = diag_inverter(l, comm, nblocks, opts.diag);
-    if (opts.ltilde_store != nullptr)
-      (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())] =
-          inverted.local();
-    return inverted.local();
-  }();
+    fresh = diag_inverter(l, comm, nblocks, opts.diag);
+    if (opts.ltilde_store != nullptr) {
+      DiagInverse& slot =
+          (*opts.ltilde_store)[static_cast<std::size_t>(ctx.id())];
+      slot = std::move(fresh);
+      dinv = &slot;
+    }
+  }
 
   // --- Panel geometry.
   const index_t bc = std::max<index_t>(ceil_div(k, p2), 1);
@@ -162,59 +179,63 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
   // copied off its slab (the consumers below only read it).
   auto transpose_exchange = [&](sim::Buffer mine, index_t my_rows,
                                 index_t peer_rows, int tag) -> Panel {
-    if (x == y) return Panel{std::move(mine), my_rows, kz};
+    if (x == y) return received(std::move(mine), my_rows, kz);
     sim::Buffer got = comm.sendrecv(peer, std::move(mine), tag);
     CATRSM_ASSERT(static_cast<index_t>(got.size()) == peer_rows * kz,
                   "it_inv_trsm: exchange size mismatch");
-    return Panel{std::move(got), peer_rows, kz};
+    return received(std::move(got), peer_rows, kz);
   };
 
   // --- Replicate B over the y-fibers, then transpose so every rank holds
   // the rows congruent to its own y (the contraction-ready orientation).
-  // by_panel is corrected in place each iteration, so it is the one
-  // received panel that gets materialized into owned storage.
-  Matrix by_panel(rows_y, kz);
+  // by_panel is corrected in place each iteration, so the received panel
+  // is adopted as owned storage: mutable_data() writes on its slab when
+  // this view is the sole owner and copies only when it is shared.
+  sim::Buffer by_buf;
+  double* by_panel = nullptr;
   {
     sim::PhaseScope scope(ctx, "setup");
     coll::Buffer mine = b.participates() ? coll::Buffer(b.local().data())
                                          : coll::Buffer();
     coll::Buffer bx = coll::bcast(yf, /*root=*/0, std::move(mine),
                                   static_cast<std::size_t>(rows_x * kz));
-    const Panel byp = transpose_exchange(std::move(bx), rows_x, rows_y,
-                                         kTagBExchange);
+    Panel byp = transpose_exchange(std::move(bx), rows_x, rows_y,
+                                   kTagBExchange);
     CATRSM_ASSERT(byp.rows == rows_y, "it_inv_trsm: B panel shape mismatch");
+    by_buf = std::move(byp.buf);
     // An empty panel (no owned rows or columns) has null storage.
-    if (rows_y * kz > 0)
-      std::memcpy(by_panel.ptr(), byp.ptr(),
-                  static_cast<std::size_t>(rows_y * kz) * sizeof(double));
+    if (rows_y * kz > 0) by_panel = by_buf.mutable_data();
   }
 
-  Matrix x_panel(rows_x, kz);
+  // Every row of x_panel is written by exactly one block's solve.
+  Matrix x_panel = Matrix::uninit(rows_x, kz);
   Matrix u_buffer(rows_x, kz);  // lazily accumulated updates, rows ≡ x
+  // Scratch for one update product (at most rows_x rows); the GEMM
+  // overwrites it (beta = 0) before u_buffer accumulates it.
+  Matrix product = Matrix::uninit(nblocks > 1 ? rows_x : 0, kz);
 
-  // Extract a (row-range x col-range) piece of my ltilde block and
-  // broadcast it along the z-fiber (only z = 0 holds ltilde); the piece
-  // is packed straight onto a pooled slab and consumed as a view.
-  auto bcast_piece = [&](index_t rlo, index_t rhi, index_t clo,
-                         index_t chi) -> Panel {
-    const auto [rx0, rx1] = local_range(rlo, rhi, x, p1);
-    const auto [cy0, cy1] = local_range(clo, chi, y, p1);
-    const index_t pr = rx1 - rx0;
-    const index_t pc = cy1 - cy0;
+  // A pr x pc piece of the front face's operands (L or the inverses,
+  // which only the z = 0 layer holds; `src` with leading dimension `ld`
+  // is read there only) as this rank sees it. With a single-member
+  // z-fiber it is read in place; otherwise the root packs the piece onto
+  // a pooled slab and broadcasts it, and every layer reads the payload.
+  auto fiber_piece = [&](const double* src, index_t ld, index_t pr,
+                         index_t pc) -> Panel {
+    if (zf.size() == 1) return Panel{{}, pr * pc > 0 ? src : nullptr,
+                                     pr, pc, ld};
     sim::Buffer mine;
     if (z == 0) {
       CATRSM_ASSERT(l.participates(),
-                    "it_inv_trsm: front face must own ltilde");
+                    "it_inv_trsm: front face must own L and its inverses");
       mine = sim::Buffer::uninit(static_cast<std::size_t>(pr * pc));
       double* dst = mine.mutable_data();
       for (index_t r = 0; r < pr; ++r)
-        std::memcpy(dst + r * pc,
-                    ltilde.ptr() + (rx0 + r) * ltilde.cols() + cy0,
+        std::memcpy(dst + r * pc, src + r * ld,
                     static_cast<std::size_t>(pc) * sizeof(double));
     }
-    coll::Buffer out = coll::bcast(zf, /*root=*/0, std::move(mine),
-                                   static_cast<std::size_t>(pr * pc));
-    return Panel{std::move(out), pr, pc};
+    return received(coll::bcast(zf, /*root=*/0, std::move(mine),
+                                static_cast<std::size_t>(pr * pc)),
+                    pr, pc);
   };
 
   // --- Main iteration (Section VI-B / VII).
@@ -223,31 +244,38 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
     const index_t sz = std::min(nb, n - oi);
 
     // Solve: X(Si) = Ltilde(Si, Si) * B(Si).
+    // My rows [sx0, sx1) of the block row Si and columns [sy0, sy1) of
+    // the block column Si, in local indices of L's layout.
+    const auto [sx0, sx1] = local_range(oi, oi + sz, x, p1);
+    const auto [sy0, sy1] = local_range(oi, oi + sz, y, p1);
+    const index_t sy_count = sy1 - sy0;
     Panel xred;
-    index_t sy_count = 0;
     {
       sim::PhaseScope solve_scope(ctx, "solve");
-      const Panel diag_piece = bcast_piece(oi, oi + sz, oi, oi + sz);
-      const auto [sy0, sy1] = local_range(oi, oi + sz, y, p1);
-      sy_count = sy1 - sy0;
-      CATRSM_ASSERT(diag_piece.cols == sy_count,
-                    "it_inv_trsm: diagonal piece width mismatch");
+      const double* inv = nullptr;
+      if (z == 0) {
+        const la::Matrix& piece = (*dinv)[static_cast<std::size_t>(i)];
+        CATRSM_ASSERT(piece.rows() == sx1 - sx0 && piece.cols() == sy_count,
+                      "it_inv_trsm: diagonal piece shape mismatch");
+        inv = piece.ptr();
+      }
+      const Panel diag_piece = fiber_piece(inv, sy_count, sx1 - sx0,
+                                           sy_count);
       // The product lands straight on an uninitialized pooled slab, so
       // the allreduce ships it without a packing copy.
       sim::Buffer xp =
           sim::Buffer::uninit(static_cast<std::size_t>(diag_piece.rows * kz));
-      la::kernel::gemm(diag_piece.rows, kz, sy_count, 1.0, diag_piece.ptr(),
-                       diag_piece.cols, by_panel.ptr() + sy0 * kz, kz, 0.0,
+      la::kernel::gemm(diag_piece.rows, kz, sy_count, 1.0, diag_piece.ptr,
+                       diag_piece.ld, by_panel + sy0 * kz, kz, 0.0,
                        xp.mutable_data(), kz);
       ctx.charge_flops(la::gemm_flops(diag_piece.rows, kz, sy_count));
 
-      coll::Buffer xsum = coll::allreduce(yf, std::move(xp));
-      xred = Panel{std::move(xsum), diag_piece.rows, kz};
-      const auto [sx0, sx1] = local_range(oi, oi + sz, x, p1);
+      xred = received(coll::allreduce(yf, std::move(xp)), diag_piece.rows,
+                      kz);
       CATRSM_ASSERT(sx1 - sx0 == xred.rows,
                     "it_inv_trsm: X slice mismatch");
       if (xred.rows * kz > 0)
-        std::memcpy(x_panel.ptr() + sx0 * kz, xred.ptr(),
+        std::memcpy(x_panel.ptr() + sx0 * kz, xred.ptr,
                     static_cast<std::size_t>(xred.rows * kz) *
                         sizeof(double));
     }
@@ -257,29 +285,31 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
     sim::PhaseScope update_scope(ctx, "update");
 
     // Update: accumulate L(T_{i+1}, Si) * X(Si) into the lazy buffer.
-    const Panel panel_piece = bcast_piece(o2, n, oi, oi + sz);
+    // The panel is a window of L's local block on the z = 0 layer.
+    const auto [tx0, tx1] = local_range(o2, n, x, p1);
+    const index_t ld = l.local().cols();
+    const Panel panel_piece = fiber_piece(
+        z == 0 && tx1 > tx0 && sy_count > 0
+            ? l.local().ptr() + tx0 * ld + sy0
+            : nullptr,
+        ld, tx1 - tx0, sy_count);
     const Panel xt = transpose_exchange(xred.buf, xred.rows, sy_count,
                                         kTagXExchange);
-    const auto [tx0, tx1] = local_range(o2, n, x, p1);
     if (panel_piece.rows > 0 && xt.rows > 0) {
       CATRSM_ASSERT(panel_piece.cols == xt.rows,
                     "it_inv_trsm: update contraction mismatch");
-      Matrix contrib(panel_piece.rows, kz);
-      la::kernel::gemm(panel_piece.rows, kz, panel_piece.cols, 1.0,
-                       panel_piece.ptr(), panel_piece.cols, xt.ptr(), kz,
-                       0.0, contrib.ptr(), kz);
-      ctx.charge_flops(
-          la::gemm_flops(panel_piece.rows, kz, panel_piece.cols));
-      CATRSM_ASSERT(tx1 - tx0 == contrib.rows(),
-                    "it_inv_trsm: update row mismatch");
+      const index_t pr = panel_piece.rows;
+      la::kernel::gemm(pr, kz, panel_piece.cols, 1.0, panel_piece.ptr,
+                       panel_piece.ld, xt.ptr, kz, 0.0, product.ptr(), kz);
+      ctx.charge_flops(la::gemm_flops(pr, kz, panel_piece.cols));
       // Contiguous row axpy (the checked accessor would bounds-test every
       // element of this hot accumulation).
-      for (index_t r = 0; r < contrib.rows(); ++r) {
+      for (index_t r = 0; r < pr; ++r) {
         double* dst = u_buffer.ptr() + (tx0 + r) * kz;
-        const double* src = contrib.ptr() + r * kz;
+        const double* src = product.ptr() + r * kz;
         for (index_t c = 0; c < kz; ++c) dst[c] += src[c];
       }
-      ctx.charge_flops(static_cast<double>(contrib.size()));
+      ctx.charge_flops(static_cast<double>(pr * kz));
     }
 
     // Reduce only the next block row of the buffer and correct B. The
@@ -296,8 +326,8 @@ DistMatrix it_inv_trsm(const DistMatrix& l, const DistMatrix& b,
     const Panel corr_t = transpose_exchange(std::move(csum), nx1 - nx0,
                                             ny1 - ny0, kTagCorrExchange);
     for (index_t r = 0; r < corr_t.rows; ++r) {
-      double* dst = by_panel.ptr() + (ny0 + r) * kz;
-      const double* src = corr_t.ptr() + r * kz;
+      double* dst = by_panel + (ny0 + r) * kz;
+      const double* src = corr_t.ptr + r * kz;
       for (index_t c = 0; c < kz; ++c) dst[c] -= src[c];
     }
     ctx.charge_flops(static_cast<double>(corr_t.rows * kz));

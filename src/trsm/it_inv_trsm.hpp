@@ -42,13 +42,15 @@ struct ItInvOptions {
   DiagInvOptions diag;
   /// Cross-run reuse of the inverted diagonal blocks (what makes repeated
   /// solves against the same L cheap — the Plan cache hooks in here).
-  /// When non-null, slot [world rank] holds that rank's local block of
-  /// Ltilde on the L face. With `reuse_ltilde` true the store is consumed
+  /// When non-null, slot [world rank] holds that rank's pieces of the
+  /// inverted diagonal blocks (a DiagInverse: about n n0 / p1^2 doubles on
+  /// the L face, nothing elsewhere); the off-diagonal panels are always
+  /// read from L. With `reuse_ltilde` true the store is read in place
   /// instead of running the Diagonal-Inverter; otherwise the freshly
-  /// inverted blocks are exported into the store. The caller must size the
+  /// inverted pieces are moved into the store. The caller must size the
   /// vector to the machine's rank count and is responsible for only
   /// requesting reuse against the same L and nblocks.
-  std::vector<la::Matrix>* ltilde_store = nullptr;
+  std::vector<DiagInverse>* ltilde_store = nullptr;
   bool reuse_ltilde = false;
 };
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dist/redistribute.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
@@ -69,6 +71,79 @@ INSTANTIATE_TEST_SUITE_P(
                       ItCase{48, 12, 2, 2, 8},    // many blocks
                       ItCase{16, 40, 2, 2, 2},    // k > n
                       ItCase{36, 9, 3, 1, 3}));   // non-pow2 p1
+
+class ItInvStore : public ::testing::TestWithParam<ItCase> {};
+
+TEST_P(ItInvStore, CompactStoreHoldsOnlyDiagonalPiecesAndReusesBitwise) {
+  // The diagonal-inverse store keeps each rank's pieces of the inverted
+  // diagonal blocks and nothing else: sum_b |my rows in S_b| x |my cols
+  // in S_b| doubles on the L face, none elsewhere. A solve reading it back
+  // gives bitwise the X of a fresh inversion (with or without a store).
+  const ItCase tc = GetParam();
+  const int p = tc.p1 * tc.p1 * tc.p2;
+  Machine m(p);
+  const Matrix l = la::make_lower_triangular(55, tc.n);
+  const Matrix b = la::make_rhs(56, tc.n, tc.k);
+  std::vector<DiagInverse> store(static_cast<std::size_t>(p));
+  const auto solve = [&](std::vector<DiagInverse>* st, bool reuse) {
+    Matrix x;
+    m.run([&](Rank& r) {
+      Comm world = Comm::world(r);
+      Face2D lface = it_inv_l_face(world, tc.p1, tc.p2);
+      auto ld = dist::cyclic_on(lface, tc.n, tc.n);
+      DistMatrix dl(ld, r.id());
+      if (dl.participates()) dl.fill_from_global(l);
+      auto bd = it_inv_b_dist(world, tc.p1, tc.p2, tc.n, tc.k);
+      DistMatrix db(bd, r.id());
+      if (db.participates()) db.fill_from_global(b);
+      ItInvOptions opts;
+      opts.nblocks = tc.nblocks;
+      opts.ltilde_store = st;
+      opts.reuse_ltilde = reuse;
+      DistMatrix dx = it_inv_trsm(dl, db, world, tc.p1, tc.p2, opts);
+      const Matrix full = collect(dx, world);
+      if (r.id() == 0) x = full;
+      if (st == nullptr || reuse) return;
+
+      const DiagInverse& mine = (*st)[static_cast<std::size_t>(r.id())];
+      if (!dl.participates()) {
+        EXPECT_TRUE(mine.empty()) << "rank " << r.id();
+        return;
+      }
+      const index_t nb = ceil_div(tc.n, tc.nblocks);
+      index_t expected = 0;
+      for (index_t o = 0; o < tc.n; o += nb) {
+        const auto count = [&](const std::vector<index_t>& v) {
+          return static_cast<index_t>(std::count_if(
+              v.begin(), v.end(),
+              [&](index_t g) { return g >= o && g < o + nb; }));
+        };
+        expected += count(dl.my_rows()) * count(dl.my_cols());
+      }
+      index_t held = 0;
+      for (const Matrix& piece : mine) held += piece.size();
+      EXPECT_EQ(held, expected) << "rank " << r.id();
+      EXPECT_EQ(mine.size(), static_cast<std::size_t>(ceil_div(tc.n, nb)));
+      if (tc.nblocks > 1) EXPECT_LT(held, dl.local().size());
+    });
+    return x;
+  };
+  const Matrix plain = solve(nullptr, false);
+  const Matrix exported = solve(&store, false);
+  const Matrix reused = solve(&store, true);
+  EXPECT_TRUE(exported.equals(plain));
+  EXPECT_TRUE(reused.equals(plain));
+  EXPECT_LT(la::trsm_residual(l, reused, b), 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ItInvStore,
+    ::testing::Values(ItCase{16, 8, 2, 1, 4},    // p2 = 1: read in place
+                      ItCase{23, 6, 2, 1, 4},    // p2 = 1, ragged n
+                      ItCase{32, 8, 2, 2, 4},    // p2 > 1: broadcast
+                      ItCase{17, 5, 2, 2, 3},    // p2 > 1, ragged n
+                      ItCase{24, 6, 1, 4, 4},    // p1 = 1, deep z
+                      ItCase{36, 9, 3, 1, 3}));  // non-pow2 p1
 
 TEST(ItInvTrsm, FullInversionExtremeMatches) {
   // nblocks = 1 degenerates to "invert the whole matrix, then multiply" —

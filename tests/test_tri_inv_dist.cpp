@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dist/redistribute.hpp"
 #include "la/generate.hpp"
@@ -122,12 +123,55 @@ struct DiagCase {
   int nblocks;
 };
 
+/// Check that `pieces` holds exactly one piece per diagonal block, each
+/// |my rows ∩ block| x |my cols ∩ block| of `dl`'s layout, and write them
+/// at their global positions in `lt` (the ranks' pieces are disjoint, so
+/// every rank may write the shared host matrix).
+void place_pieces(const DistMatrix& dl, const DiagInverse& pieces,
+                  int nblocks, Matrix& lt) {
+  if (!dl.participates()) {
+    EXPECT_TRUE(pieces.empty());
+    return;
+  }
+  const index_t n = dl.dist().rows();
+  const index_t nb = ceil_div(n, nblocks);
+  ASSERT_EQ(pieces.size(), static_cast<std::size_t>(nblocks));
+  for (int bkt = 0; bkt < nblocks; ++bkt) {
+    const index_t o = static_cast<index_t>(bkt) * nb;
+    const index_t hi = std::min<index_t>(o + nb, n);
+    const auto in_block = [&](index_t g) { return g >= o && g < hi; };
+    std::vector<index_t> rows, cols;
+    for (const index_t i : dl.my_rows())
+      if (in_block(i)) rows.push_back(i);
+    for (const index_t j : dl.my_cols())
+      if (in_block(j)) cols.push_back(j);
+    const Matrix& piece = pieces[static_cast<std::size_t>(bkt)];
+    ASSERT_EQ(piece.rows(), static_cast<index_t>(rows.size()))
+        << "block " << bkt << " rank " << dl.me();
+    ASSERT_EQ(piece.cols(), static_cast<index_t>(cols.size()))
+        << "block " << bkt << " rank " << dl.me();
+    for (std::size_t a = 0; a < rows.size(); ++a)
+      for (std::size_t c = 0; c < cols.size(); ++c)
+        lt(rows[a], cols[c]) =
+            piece(static_cast<index_t>(a), static_cast<index_t>(c));
+  }
+}
+
+/// Host matrix of NaNs: a diagonal-block element no rank's piece covers
+/// stays NaN and fails the inverse-residual bound.
+Matrix nan_matrix(index_t n) {
+  Matrix out(n, n);
+  for (double& v : out.data()) v = std::numeric_limits<double>::quiet_NaN();
+  return out;
+}
+
 class DiagInvSweep : public ::testing::TestWithParam<DiagCase> {};
 
-TEST_P(DiagInvSweep, InvertsDiagonalKeepsPanels) {
+TEST_P(DiagInvSweep, InvertsDiagonalBlocksIntoCompactPieces) {
   const DiagCase tc = GetParam();
   Machine m(tc.p);
   const Matrix l = la::make_lower_triangular(31, tc.n);
+  Matrix lt = nan_matrix(tc.n);
   m.run([&](Rank& r) {
     Comm world = Comm::world(r);
     const auto [pr, pc] = dist::balanced_factors(tc.p);
@@ -135,28 +179,18 @@ TEST_P(DiagInvSweep, InvertsDiagonalKeepsPanels) {
     auto ld = dist::cyclic_on(face, tc.n, tc.n);
     DistMatrix dl(ld, r.id());
     dl.fill_from_global(l);
-    DistMatrix dt = diag_inverter(dl, world, tc.nblocks);
-    const Matrix lt = collect(dt, world);
-
-    const index_t nb = ceil_div(tc.n, tc.nblocks);
-    for (int bkt = 0; bkt < tc.nblocks; ++bkt) {
-      const index_t o = static_cast<index_t>(bkt) * nb;
-      if (o >= tc.n) break;
-      const index_t sz = std::min<index_t>(nb, tc.n - o);
-      // Diagonal block must be the inverse of the original block.
-      const Matrix orig = l.block(o, o, sz, sz);
-      const Matrix got = lt.block(o, o, sz, sz);
-      EXPECT_LT(la::inv_residual(orig, got), 1e-11)
-          << "block " << bkt << " n=" << tc.n << " p=" << tc.p;
-    }
-    // Everything below the block diagonal must be untouched.
-    for (index_t i = 0; i < tc.n; ++i)
-      for (index_t j = 0; j < i; ++j) {
-        if (i / nb != j / nb) {
-          EXPECT_DOUBLE_EQ(lt(i, j), l(i, j));
-        }
-      }
+    place_pieces(dl, diag_inverter(dl, world, tc.nblocks), tc.nblocks, lt);
   });
+  const index_t nb = ceil_div(tc.n, tc.nblocks);
+  for (int bkt = 0; bkt < tc.nblocks; ++bkt) {
+    const index_t o = static_cast<index_t>(bkt) * nb;
+    const index_t sz = std::min<index_t>(nb, tc.n - o);
+    // Diagonal block must be the inverse of the original block.
+    const Matrix orig = l.block(o, o, sz, sz);
+    const Matrix got = lt.block(o, o, sz, sz);
+    EXPECT_LT(la::inv_residual(orig, got), 1e-11)
+        << "block " << bkt << " n=" << tc.n << " p=" << tc.p;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -196,20 +230,27 @@ TEST(DiagInverter, MoreBlocksThanRanksInvertSequentially) {
   const index_t n = 16;
   Machine m(2);
   const Matrix l = la::make_lower_triangular(35, n);
+  Matrix lt = nan_matrix(n);
   m.run([&](Rank& r) {
     Comm world = Comm::world(r);
     Face2D face(world, 1, 2);
     auto ld = dist::cyclic_on(face, n, n);
     DistMatrix dl(ld, r.id());
     dl.fill_from_global(l);
-    DistMatrix dt = diag_inverter(dl, world, 4);  // 4 blocks on 2 ranks
-    const Matrix lt = collect(dt, world);
-    for (int bkt = 0; bkt < 4; ++bkt) {
-      const index_t o = bkt * 4;
-      EXPECT_LT(la::inv_residual(l.block(o, o, 4, 4), lt.block(o, o, 4, 4)),
-                1e-12);
+    // 4 blocks on 2 ranks: each rank holds all 4 rows and 2 columns of
+    // every block.
+    const DiagInverse pieces = diag_inverter(dl, world, 4);
+    for (const Matrix& piece : pieces) {
+      EXPECT_EQ(piece.rows(), 4);
+      EXPECT_EQ(piece.cols(), 2);
     }
+    place_pieces(dl, pieces, 4, lt);
   });
+  for (int bkt = 0; bkt < 4; ++bkt) {
+    const index_t o = bkt * 4;
+    EXPECT_LT(la::inv_residual(l.block(o, o, 4, 4), lt.block(o, o, 4, 4)),
+              1e-12);
+  }
 }
 
 }  // namespace
